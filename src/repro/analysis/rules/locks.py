@@ -1,7 +1,7 @@
 """Lock-discipline rules: declared locks must be honoured everywhere.
 
 The serving stack guards shared mutable state with per-object locks
-(``self._lock``, ``self._warm_lock``, ``self._cond``, ...).  The
+(``self._lock``, ``self._invocation_lock``, ``self._cond``, ...).  The
 contract these rules enforce is the one the code already follows:
 
 * an attribute that is *ever* assigned inside a ``with self.<lock>:``

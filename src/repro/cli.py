@@ -144,18 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--spill", type=Path, default=None, help="plan-cache JSON spill file"
     )
     serve.add_argument(
-        "--compression-kernel",
-        choices=["dict", "csr", "numpy", "auto"],
-        default="auto",
-        help="label-propagation kernel (all bit-identical)",
-    )
-    serve.add_argument(
-        "--greedy-kernel",
-        choices=["python", "numpy", "auto"],
-        default="auto",
-        help="Algorithm 2 candidate-scan kernel (all bit-identical)",
-    )
-    serve.add_argument(
         "--smoke", action="store_true",
         help="tiny fast path (24 requests, 4 apps of 40 functions) for CI",
     )
@@ -565,8 +553,6 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 def cmd_serve_bench(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from repro.compression.compressor import CompressionConfig
-    from repro.core.config import PlannerConfig
     from repro.service import PlanService, ServiceConfig, plan_digest
     from repro.utils.timer import Stopwatch
     from repro.workloads.multiuser import build_mec_system
@@ -574,11 +560,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
 
     if args.smoke:
         args.requests, args.pool, args.graph_size, args.workers = 24, 4, 40, 2
-
-    planner_config = PlannerConfig(
-        compression=CompressionConfig(kernel=args.compression_kernel),
-        greedy_kernel=args.greedy_kernel,
-    )
 
     profile = dataclasses.replace(
         quick_profile(),
@@ -596,7 +577,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     digests_by_executor: dict[str, dict[str, str]] = {}
 
     for executor in executors:
-        planner = make_planner(args.strategy, config=planner_config)
+        planner = make_planner(args.strategy)
         config = ServiceConfig(
             workers=args.workers,
             executor=executor,
@@ -627,7 +608,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         # Parity check: a cold plan of each pool app (planned fresh by a
         # separate planner) must serialise byte-identically to what the
         # service answered from its cache.
-        parity_planner = make_planner(args.strategy, config=planner_config)
+        parity_planner = make_planner(args.strategy)
         identical = sum(
             1
             for app in workload.distinct_graphs
@@ -683,9 +664,11 @@ def cmd_serve_http(args: argparse.Namespace) -> int:
     with PlanService(planner, config) as service:
         frontend = HttpFrontendThread(service, host=args.host, port=args.port)
         port = frontend.start()
-        print(f"plan service listening on http://{args.host}:{port}")
-        print("POST /plan | POST /submit | GET /result/<id> | GET /metrics | GET /healthz")
         try:
+            # The banner sits inside the try: a SIGINT that lands while it
+            # prints still takes the graceful shutdown path.
+            print(f"plan service listening on http://{args.host}:{port}")
+            print("POST /plan | POST /submit | GET /result/<id> | GET /metrics | GET /healthz")
             frontend.join()  # serve until interrupted
         except KeyboardInterrupt:
             print("shutting down")

@@ -16,7 +16,6 @@ from collections.abc import Hashable
 from repro.compression.labels import QuantileThreshold, ThresholdRule
 from repro.compression.merge import CompressedGraph, merge_labeled_graph
 from repro.compression.propagation import (
-    PROPAGATION_KERNELS,
     LabelPropagation,
     PropagationReport,
     TraversalPolicy,
@@ -34,9 +33,6 @@ class CompressionConfig:
 
     ``alpha_threshold`` and ``max_rounds`` are the paper's ``alpha_t`` and
     ``beta_t``; ``threshold_rule`` supplies the coupling threshold ``w``.
-    ``kernel`` selects the propagation implementation (``"dict"``,
-    ``"csr"``, ``"numpy"`` or ``"auto"``); all produce bit-identical
-    labels.
     """
 
     threshold_rule: ThresholdRule = field(default_factory=QuantileThreshold)
@@ -44,13 +40,6 @@ class CompressionConfig:
     policy: TraversalPolicy = TraversalPolicy.BFS
     parallel: bool = False
     max_workers: int | None = None
-    kernel: str = "auto"
-
-    def __post_init__(self) -> None:
-        if self.kernel not in PROPAGATION_KERNELS:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; expected one of {PROPAGATION_KERNELS}"
-            )
 
 
 @dataclass
@@ -112,6 +101,5 @@ class GraphCompressor:
             threshold_rule=self.config.threshold_rule,
             termination=self.config.termination,
             policy=self.config.policy,
-            kernel=self.config.kernel,
         )
         return propagation.run(subgraph)

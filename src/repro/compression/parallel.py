@@ -48,7 +48,6 @@ def compress_components_parallel(
             threshold_rule=config.threshold_rule,
             termination=config.termination,
             policy=config.policy,
-            kernel=config.kernel,
         )
         return propagation.run(subgraph)
 

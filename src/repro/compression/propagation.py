@@ -19,57 +19,12 @@ import enum
 from dataclasses import dataclass, field
 from collections.abc import Hashable
 
-import numpy as np
-
 from repro.compression.labels import ThresholdRule
 from repro.compression.termination import TerminationCriteria
-from repro.graphs.csr import CSRGraph
 from repro.graphs.traversal import bfs_order, dfs_order
 from repro.graphs.weighted_graph import WeightedGraph
 
 NodeId = Hashable
-
-PROPAGATION_KERNELS = ("dict", "csr", "numpy", "auto")
-
-_CSR_KERNEL_CUTOFF = 96
-"""``auto`` kernel switch-over: below this node count the flat-array
-setup cost outweighs the per-round savings; above it the CSR kernel's
-strong-edge prefilter and dirty frontier win decisively."""
-
-try:  # Optional accelerator: jit the segment builder when numba exists.
-    import numba as _numba
-except ImportError:  # pragma: no cover - numba is never required
-    _numba = None
-
-
-def _segment_ids(
-    order_idx: np.ndarray,
-    s_indptr: np.ndarray,
-    s_indices: np.ndarray,
-    stamp: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """Assign each visit position a segment id (see ``_run_numpy``).
-
-    Walking the visit order, a new segment starts whenever the next node
-    has a strong neighbor already placed in the current segment — so
-    every segment is an independent set w.r.t. strong edges, and nodes
-    within one segment cannot observe each other's label updates.
-    ``stamp[v]`` records the segment node ``v`` was placed in.
-    """
-    seg = 0
-    for t in range(order_idx.shape[0]):
-        v = order_idx[t]
-        for k in range(s_indptr[v], s_indptr[v + 1]):
-            if stamp[s_indices[k]] == seg:
-                seg += 1
-                break
-        stamp[v] = seg
-        out[t] = seg
-
-
-if _numba is not None:  # pragma: no cover - exercised only with numba installed
-    _segment_ids = _numba.njit(cache=True)(_segment_ids)
 
 
 class TraversalPolicy(enum.Enum):
@@ -116,22 +71,11 @@ def select_starter(graph: WeightedGraph) -> NodeId:
 class LabelPropagation:
     """Runs the threshold-guided label propagation on one sub-graph.
 
-    *kernel* selects the round-loop implementation:
-
-    * ``"dict"`` — the reference path walking the adjacency dicts;
-    * ``"csr"``  — the array fast path: the graph is frozen into a
-      :class:`~repro.graphs.csr.CSRGraph`, weak edges (weight <=
-      threshold, which can never carry a label) are filtered out of the
-      incidence arrays once, and rounds after the first only re-evaluate
-      the *dirty frontier* — nodes with a strong neighbor whose label
-      changed since their last evaluation.  Bit-for-bit identical to the
-      dict path (labels, rounds, per-round update counts);
-    * ``"numpy"`` — the vectorised path: the visit order is decomposed
-      once into contiguous *segments* that are independent sets w.r.t.
-      strong edges, then each round evaluates whole segments with numpy
-      gather + ``np.maximum.reduceat`` passes instead of a per-node
-      Python loop.  Also bit-for-bit identical to the dict path;
-    * ``"auto"`` — ``csr`` above a node-count cutoff, ``dict`` below.
+    Each round is a full scan of the visit order over the adjacency
+    dicts.  Propagation runs once per connected component of the
+    offloadable subgraph, and those components stay small (tens of
+    nodes even on thousand-function applications), so the plain dict
+    walk is the only kernel.
     """
 
     def __init__(
@@ -139,16 +83,10 @@ class LabelPropagation:
         threshold_rule: ThresholdRule,
         termination: TerminationCriteria | None = None,
         policy: TraversalPolicy = TraversalPolicy.BFS,
-        kernel: str = "auto",
     ) -> None:
-        if kernel not in PROPAGATION_KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {PROPAGATION_KERNELS}"
-            )
         self.threshold_rule = threshold_rule
         self.termination = termination or TerminationCriteria()
         self.policy = policy
-        self.kernel = kernel
 
     def run(self, graph: WeightedGraph) -> PropagationReport:
         """Propagate labels over *graph* and return the final assignment.
@@ -159,17 +97,7 @@ class LabelPropagation:
         """
         if graph.node_count == 0:
             return PropagationReport(labels={}, rounds=0)
-        if self.kernel == "numpy":
-            return self._run_numpy(graph)
-        use_csr = self.kernel == "csr" or (
-            self.kernel == "auto" and graph.node_count >= _CSR_KERNEL_CUTOFF
-        )
-        if use_csr:
-            return self._run_csr(graph)
-        return self._run_dict(graph)
 
-    def _run_dict(self, graph: WeightedGraph) -> PropagationReport:
-        """Reference kernel: per-round full scans over the adjacency dicts."""
         threshold = self.threshold_rule.threshold(graph)
         starter = select_starter(graph)
         order = self._visit_order(graph, starter)
@@ -201,250 +129,6 @@ class LabelPropagation:
 
         return PropagationReport(
             labels=labels,
-            rounds=rounds,
-            updates_per_round=updates_per_round,
-            threshold=threshold,
-            starter=starter,
-        )
-
-    def _run_csr(self, graph: WeightedGraph) -> PropagationReport:
-        """Array kernel: strong-edge CSR arrays plus a dirty frontier.
-
-        Parity argument (tested bit-for-bit against :meth:`_run_dict`):
-
-        * a proposed label is a pure maximum over the strong labeled
-          neighborhood under the key ``(edge weight, -label birth)``, so
-          scan order inside a neighborhood is irrelevant — and since
-          labels are created in birth order, ``birth(label) == label``,
-          making the key ``(weight, -label)``;
-        * weak edges (``weight <= threshold``) never contribute, so
-          filtering them out of the incidence arrays once is exact;
-        * a node whose strong neighborhood has not changed since its last
-          evaluation re-derives the same proposal, so skipping it cannot
-          change labels *or* the per-round update count.  Whenever a
-          label changes, every strong neighbor is marked dirty: those
-          later in the visit order are re-evaluated in the same round
-          (as a full scan would), those earlier in the next round.
-        """
-        threshold = self.threshold_rule.threshold(graph)
-        starter = select_starter(graph)
-        order = self._visit_order(graph, starter)
-
-        csr = CSRGraph.from_graph(graph)
-        strong = csr.edge_weight > threshold
-        rows = np.repeat(np.arange(csr.node_count), np.diff(csr.indptr))
-        strong_counts = np.bincount(rows[strong], minlength=csr.node_count)
-        # Flat Python lists beat numpy scalar indexing in the tight loop.
-        s_indptr = np.concatenate(([0], np.cumsum(strong_counts))).tolist()
-        s_indices = csr.indices[strong].tolist()
-        s_weights = csr.edge_weight[strong].tolist()
-
-        n = csr.node_count
-        order_idx = [csr.index[node] for node in order]
-        labels_arr: list[int] = [-1] * n
-        dirty = [True] * n
-        next_label = 0
-
-        rounds = 0
-        updates_per_round: list[int] = []
-        while True:
-            updates = 0
-            for i in order_idx:
-                if not dirty[i]:
-                    continue
-                dirty[i] = False
-                best_label = -1
-                best_weight = 0.0
-                for k in range(s_indptr[i], s_indptr[i + 1]):
-                    candidate = labels_arr[s_indices[k]]
-                    if candidate < 0:
-                        continue
-                    weight = s_weights[k]
-                    if (
-                        best_label < 0
-                        or weight > best_weight
-                        or (weight == best_weight and candidate < best_label)
-                    ):
-                        best_weight = weight
-                        best_label = candidate
-                if best_label < 0:
-                    if labels_arr[i] < 0:
-                        labels_arr[i] = next_label
-                        next_label += 1
-                        updates += 1
-                        for k in range(s_indptr[i], s_indptr[i + 1]):
-                            dirty[s_indices[k]] = True
-                    continue
-                if labels_arr[i] != best_label:
-                    labels_arr[i] = best_label
-                    updates += 1
-                    for k in range(s_indptr[i], s_indptr[i + 1]):
-                        dirty[s_indices[k]] = True
-            rounds += 1
-            updates_per_round.append(updates)
-            if self.termination.should_stop(updates, n, rounds):
-                break
-
-        return PropagationReport(
-            labels={node: labels_arr[i] for i, node in enumerate(csr.nodes)},
-            rounds=rounds,
-            updates_per_round=updates_per_round,
-            threshold=threshold,
-            starter=starter,
-        )
-
-    def _run_numpy(self, graph: WeightedGraph) -> PropagationReport:
-        """Vectorised kernel: segment decomposition + reduceat proposals.
-
-        The visit order is cut into maximal contiguous *segments* such
-        that no two nodes in a segment share a strong edge (the builder
-        starts a new segment as soon as the next node has a strong
-        neighbor already inside the current one).  Because label reads
-        inside a round only ever travel strong edges, nodes within one
-        segment cannot observe each other's writes — evaluating a whole
-        segment against the labels as they stood when the segment began
-        is exactly what the sequential dict scan does.
-
-        Within a segment, proposals are a pure max over each strong
-        neighborhood under the key ``(weight, -label)`` (labels are born
-        in birth order, so ``birth(label) == label``).  That key is
-        packed into one int64 — ``wrank * (n + 1) + (n - 1 - label)``
-        where ``wrank`` is the dense rank of the edge weight among all
-        strong weights — so ``np.maximum.reduceat`` over the flattened
-        incidence arrays computes every node's proposal at once.  Fresh
-        labels go to proposal-less unlabeled members in visit order.
-
-        Like the csr kernel, stable work is skipped: a segment none of
-        whose members saw a strong-neighbor label change since their
-        last evaluation re-derives proposals its members already carry,
-        so it contributes zero updates and is skipped wholesale; every
-        label write marks the writer's strong neighbors dirty, so
-        affected segments later in the round are still evaluated within
-        it, exactly as a sequential full scan would.  Labels, rounds,
-        and per-round update counts all match the dict path bit-for-bit.
-        """
-        threshold = self.threshold_rule.threshold(graph)
-        starter = select_starter(graph)
-        order = self._visit_order(graph, starter)
-
-        csr = CSRGraph.from_graph(graph)
-        n = csr.node_count
-        strong = csr.edge_weight > threshold
-        strong_counts = np.bincount(csr.incidence_rows()[strong], minlength=n)
-        s_indptr = np.concatenate(([0], np.cumsum(strong_counts)))
-        s_indices = csr.indices[strong]
-        s_weights = csr.edge_weight[strong]
-
-        order_idx = np.asarray([csr.index[node] for node in order], dtype=np.int64)
-        seg_of_pos = np.empty(n, dtype=np.int64)
-        _segment_ids(order_idx, s_indptr, s_indices, np.full(n, -1, dtype=np.int64), seg_of_pos)
-        seg_bounds = np.concatenate(
-            ([0], np.nonzero(np.diff(seg_of_pos))[0] + 1, [n])
-        )
-
-        # Dense weight rank: equal floats share a rank, so the packed key
-        # orders exactly like the (weight, -label) tuple.
-        unique_weights = np.unique(s_weights)
-        wrank = np.searchsorted(unique_weights, s_weights).astype(np.int64)
-        base_key = wrank * np.int64(n + 1)
-
-        # Flatten the strong incidences in visit-position order.
-        lens = strong_counts[order_idx]
-        row_starts = np.concatenate(([0], np.cumsum(lens)))
-        total = int(row_starts[-1])
-        if total:
-            flat_src = np.repeat(s_indptr[order_idx], lens) + (
-                np.arange(total, dtype=np.int64) - np.repeat(row_starts[:-1], lens)
-            )
-        else:
-            flat_src = np.empty(0, dtype=np.int64)
-        flat_neighbors = s_indices[flat_src]
-        flat_base = base_key[flat_src]
-
-        # Per-segment static structure: member nodes, their strong-neighbor
-        # slice of the flat arrays, and reduceat starts for members with at
-        # least one strong incidence.
-        segments: list[
-            tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = []
-        for s in range(seg_bounds.size - 1):
-            a, b = int(seg_bounds[s]), int(seg_bounds[s + 1])
-            member_nodes = order_idx[a:b]
-            nonempty_local = np.nonzero(lens[a:b])[0]
-            lo, hi = int(row_starts[a]), int(row_starts[b])
-            rel_starts = row_starts[a + nonempty_local] - lo
-            segments.append(
-                (
-                    member_nodes,
-                    nonempty_local,
-                    rel_starts,
-                    flat_neighbors[lo:hi],
-                    flat_base[lo:hi],
-                )
-            )
-
-        labels_np = np.full(n, -1, dtype=np.int64)
-        dirty = np.ones(n, dtype=bool)
-        n1 = np.int64(n - 1)
-        modulus = np.int64(n + 1)
-        next_label = 0
-        s_starts = s_indptr[:-1]
-
-        rounds = 0
-        updates_per_round: list[int] = []
-        while True:
-            updates = 0
-            for member_nodes, nonempty_local, rel_starts, seg_neighbors, seg_base in segments:
-                if not dirty[member_nodes].any():
-                    continue
-                dirty[member_nodes] = False
-                proposal = np.full(member_nodes.size, -1, dtype=np.int64)
-                if rel_starts.size:
-                    candidates = labels_np[seg_neighbors]
-                    keys = np.where(
-                        candidates >= 0,
-                        seg_base + (n1 - candidates),
-                        np.int64(-1),
-                    )
-                    best = np.maximum.reduceat(keys, rel_starts)
-                    proposal[nonempty_local] = np.where(best >= 0, n1 - best % modulus, -1)
-                current = labels_np[member_nodes]
-                adopted = (proposal >= 0) & (current != proposal)
-                fresh = (proposal < 0) & (current < 0)
-                count = int(fresh.sum())
-                if count:
-                    labels_np[member_nodes[fresh]] = next_label + np.arange(
-                        count, dtype=np.int64
-                    )
-                    next_label += count
-                    updates += count
-                count = int(adopted.sum())
-                if count:
-                    labels_np[member_nodes[adopted]] = proposal[adopted]
-                    updates += count
-                    written = member_nodes[adopted | fresh] if fresh.any() else member_nodes[adopted]
-                elif fresh.any():
-                    written = member_nodes[fresh]
-                else:
-                    continue
-                # A write is only observable across strong edges, so only
-                # the writers' strong neighbors need re-evaluation.
-                counts = strong_counts[written]
-                touched = int(counts.sum())
-                if touched:
-                    offsets = np.concatenate(([0], np.cumsum(counts)))
-                    src = np.repeat(s_starts[written], counts) + (
-                        np.arange(touched, dtype=np.int64)
-                        - np.repeat(offsets[:-1], counts)
-                    )
-                    dirty[s_indices[src]] = True
-            rounds += 1
-            updates_per_round.append(updates)
-            if self.termination.should_stop(updates, n, rounds):
-                break
-
-        return PropagationReport(
-            labels={node: int(labels_np[i]) for i, node in enumerate(csr.nodes)},
             rounds=rounds,
             updates_per_round=updates_per_round,
             threshold=threshold,

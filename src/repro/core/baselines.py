@@ -28,10 +28,6 @@ def spectral_cut_strategy(solver: FiedlerSolver | None = None) -> CutStrategy:
         result = spectral_bisect(graph, solver)
         return CutOutcome(result.part_one, result.part_two, result.cut_value)
 
-    # Expose the solver on the strategy so callers holding only the
-    # closure (the planner, the process-pool initializer) can reach the
-    # warm-start cache for export/priming.
-    cut.fiedler_solver = solver  # type: ignore[attr-defined]
     return cut
 
 

@@ -46,10 +46,3 @@ class PlannerConfig:
     :func:`repro.mec.greedy.initial_placement`.  ``"anchored"`` is the
     reproduction default; ``"dominated"``/``"all-remote"`` explore more
     schemes at the cost of the cut-quality/transmission link."""
-
-    greedy_kernel: str = "auto"
-    """Candidate-scan implementation for Algorithm 2 — see
-    :data:`repro.mec.greedy.GREEDY_KERNELS`.  ``"numpy"``/``"auto"``
-    batch full scans through vectorised device/server folds;
-    ``"python"`` keeps the scalar reference loop.  Move sequences are
-    bit-identical across kernels."""

@@ -208,18 +208,13 @@ class OffloadingPlanner:
             )
             bisections[user.user_id] = plan.bisections
 
-        greedy_watch = Stopwatch()
-        with greedy_watch:
-            greedy = generate_offloading_scheme(
-                system,
-                apps,
-                bisections,
-                weights=self.config.objective,
-                placement_mode=self.config.initial_placement_mode,
-                kernel=self.config.greedy_kernel,
-            )
-        for plan in user_plans.values():
-            plan.stage_seconds["greedy"] = greedy_watch.elapsed
+        greedy = generate_offloading_scheme(
+            system,
+            apps,
+            bisections,
+            weights=self.config.objective,
+            placement_mode=self.config.initial_placement_mode,
+        )
         elapsed = time.perf_counter() - started
         return PlanResult(
             scheme=greedy.scheme,

@@ -46,10 +46,10 @@ class UserPlan:
     cut_values: list[float] = field(default_factory=list)
     propagation_rounds: int = 0
     stage_seconds: dict[str, float] = field(default_factory=dict)
-    """Wall-clock per pipeline stage: ``compress`` and ``cut`` are filled
-    by ``plan_user``; ``plan_system`` adds its ``greedy`` time to every
-    plan of the batch (shared plans see the shared greedy cost).  The
-    plan service histograms attribute request cost from these."""
+    """Wall-clock per pipeline stage, ``compress`` and ``cut``, filled by
+    ``plan_user``.  The system-wide greedy time is not per-user: it is
+    part of :attr:`PlanResult.planning_seconds`.  The plan service
+    histograms attribute request cost from these."""
 
     @property
     def compression_ratio(self) -> float:

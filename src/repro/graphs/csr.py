@@ -2,8 +2,8 @@
 
 The dict-of-dict :class:`~repro.graphs.weighted_graph.WeightedGraph` is
 the right structure for *building* and *mutating* graphs (compression
-merges, workload generation), but every hot read path — Laplacian
-assembly, label propagation's neighbor scans, cut evaluation — pays
+merges, workload generation), but array read paths — Laplacian
+assembly, cut evaluation, the shared-memory graph transfer — would pay
 Python-level hashing per edge visit.  :class:`CSRGraph` freezes a
 weighted graph into four numpy arrays in compressed-sparse-row layout:
 
@@ -18,7 +18,7 @@ weighted graph into four numpy arrays in compressed-sparse-row layout:
 
 The node *order* (index -> original node id) defaults to the graph's
 insertion order, matching ``WeightedGraph.node_list()`` — eigenvector
-entries, label arrays and part indices all line up without translation.
+entries and part indices line up without translation.
 
 A ``CSRGraph`` is a snapshot: mutating the source graph afterwards does
 not invalidate it (nothing is shared), and it deliberately exposes a
@@ -59,7 +59,6 @@ class CSRGraph:
         "indices",
         "edge_weight",
         "node_weight",
-        "_signature",
     )
 
     def __init__(
@@ -76,7 +75,6 @@ class CSRGraph:
         self.indices = indices
         self.edge_weight = edge_weight
         self.node_weight = node_weight
-        self._signature: str | None = None
         for array in (indptr, indices, edge_weight, node_weight):
             array.setflags(write=False)
 
@@ -173,10 +171,6 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # Array derivations
     # ------------------------------------------------------------------
-    def degrees(self) -> np.ndarray:
-        """Unweighted degree per node (``int64[n]``)."""
-        return np.diff(self.indptr)
-
     def incidence_rows(self) -> np.ndarray:
         """Source-node index of every incidence (``int64[2m]``).
 
@@ -244,32 +238,6 @@ class CSRGraph:
             for k in range(int(indptr[i]), int(indptr[i + 1])):
                 row[nodes[indices[k]]] = float(edge_weight[k])
         return graph
-
-    # ------------------------------------------------------------------
-    # Identity
-    # ------------------------------------------------------------------
-    def structure_signature(self) -> str:
-        """Cheap relabelling-invariant signature of the weighted structure.
-
-        The array sibling of
-        :func:`repro.service.fingerprint.structural_fingerprint`: a
-        SHA-256 over the sorted degree, node-weight and edge-weight
-        multisets.  It only has to *discriminate* — it keys the Fiedler
-        warm-start cache, where a collision merely seeds an eigensolve
-        with an unhelpful start vector (correctness is unaffected) —
-        so the full Weisfeiler-Leman refinement is skipped in favour of
-        O(n log n + m log m) numpy sorts.
-        """
-        if self._signature is None:
-            import hashlib
-
-            h = hashlib.sha256()
-            h.update(np.int64(self.node_count).tobytes())
-            h.update(np.sort(self.degrees()).tobytes())
-            h.update(np.sort(self.node_weight).tobytes())
-            h.update(np.sort(self.edge_weight).tobytes())
-            self._signature = h.hexdigest()
-        return self._signature
 
 
 def as_csr(

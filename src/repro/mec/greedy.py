@@ -34,20 +34,13 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from repro.mec.admission import MIN_REMOTE_LOAD, FCFSQueueAllocation
+from repro.mec.admission import MIN_REMOTE_LOAD
 from repro.mec.energy import transmission_energy, transmission_time
 from repro.mec.objective import ObjectiveWeights
 from repro.mec.scheme import OffloadingScheme, PartitionedApplication
 from repro.mec.system import MECSystem, SystemConsumption
 
 _EPS = 1e-12
-
-GREEDY_KERNELS = ("python", "numpy", "auto")
-"""Inner-loop implementations for Algorithm 2's candidate evaluation:
-``"python"`` scores candidates one :meth:`PlacementEvaluator.evaluate_move`
-at a time, ``"numpy"`` batches whole scans through
-:meth:`PlacementEvaluator.evaluate_moves`, ``"auto"`` picks ``numpy``.
-Both produce bit-identical move sequences (asserted in tests)."""
 
 
 @dataclass
@@ -292,8 +285,7 @@ class PlacementEvaluator:
         )
         # Exact arithmetic keeps the cut non-negative; incremental float
         # updates can leave a ~1e-16 residue that the (validating)
-        # shared transmission helpers would reject.  Clamp here — the
-        # numpy batch path applies the identical np.maximum clamp.
+        # shared transmission helpers would reject.  Clamp here.
         return (
             self._local_w[user_id] + computation,
             self._remote_w[user_id] - computation,
@@ -318,132 +310,6 @@ class PlacementEvaluator:
         loads[user_id] = new_remote
         delta_server = self._server_time_total(loads) - self._current_server_time()
         return self.combined() + delta_device + self.weights.time * delta_server
-
-    def evaluate_moves(self, candidates: list[tuple[str, int]]) -> list[float]:
-        """Objective values for a batch of moves; state unchanged.
-
-        Bit-identical to calling :meth:`evaluate_move` per candidate, but
-        the device terms and the FCFS server-time aggregate are computed
-        as numpy vectors over each user's candidate block — one pass over
-        the user population instead of one per candidate.
-
-        The vectorisation leans on two exact-arithmetic facts: elementwise
-        numpy arithmetic applies the same IEEE-754 operations in the same
-        order as the scalar expressions it replaces, and masking inactive
-        candidates by adding ``0.0`` to a non-negative accumulator leaves
-        it bit-identical to not adding at all.  The server fold is only
-        vectorisable for :class:`FCFSQueueAllocation` (every active user
-        gets full capacity and sorted-order queueing); other allocation
-        policies fall back to the scalar path.
-        """
-        if not candidates:
-            return []
-        if type(self.system.allocation) is not FCFSQueueAllocation:
-            return [self.evaluate_move(user_id, part_id) for user_id, part_id in candidates]
-        blocks: dict[str, tuple[list[int], list[int]]] = {}
-        for position, (user_id, part_id) in enumerate(candidates):
-            if part_id not in self.remote.get(user_id, set()):
-                raise ValueError(f"part {part_id} of {user_id!r} is not remote")
-            positions, part_ids = blocks.setdefault(user_id, ([], []))
-            positions.append(position)
-            part_ids.append(part_id)
-
-        total = len(candidates)
-        delta_device = np.empty(total, dtype=float)
-        new_remote = np.empty(total, dtype=float)
-        user_positions: dict[str, list[int]] = {}
-        for user_id, (positions, part_ids) in blocks.items():
-            parts = np.asarray(part_ids, dtype=np.int64)
-            computation = self._comp[user_id][parts]
-            new_local = self._local_w[user_id] + computation
-            new_cut = np.maximum(
-                self._cut[user_id]
-                + (
-                    -self._anchor[user_id][parts]
-                    + 2.0 * self._w_remote[user_id][parts]
-                    - self._w_total[user_id][parts]
-                ),
-                0.0,
-            )
-            new_remote[positions] = self._remote_w[user_id] - computation
-            user_positions[user_id] = positions
-
-            device = self.system.user(user_id).device
-            rate = self.rates.get(user_id, device.bandwidth)
-            old_energy, old_time = self._device_terms(
-                user_id, self._local_w[user_id], self._cut[user_id]
-            )
-            t_c = new_local / device.compute_capacity
-            e_c = t_c * device.power_compute
-            e_t = new_cut * device.power_transmit / rate
-            t_t = new_cut / rate
-            delta_device[positions] = self.weights.energy * (
-                (e_c + e_t) - old_energy
-            ) + self.weights.time * ((t_c + t_t) - old_time)
-
-        delta_server = self._fcfs_server_times(new_remote, user_positions) - (
-            self._current_server_time()
-        )
-        results = self.combined() + delta_device + self.weights.time * delta_server
-        return [float(value) for value in results]
-
-    def _fcfs_server_times(
-        self, new_remote: np.ndarray, user_positions: Mapping[str, list[int]]
-    ) -> np.ndarray:
-        """:meth:`_server_time_total` per candidate, one fold for the batch.
-
-        ``new_remote[k]`` is candidate *k*'s own user's load after the
-        move; *user_positions* maps each user to the candidate positions
-        it owns.  The FCFS folds are replayed exactly — waiting
-        accumulates over active users in sorted-id order, the total over
-        the load dict's insertion order — but each fold step is one
-        vector operation over all candidates: at a step for user *v*, a
-        candidate's column carries ``new_remote`` if the candidate
-        belongs to *v*, and *v*'s current load otherwise.  Inactive loads
-        (at or below ``MIN_REMOTE_LOAD``) contribute ``+ 0.0``, which is
-        exact on the non-negative accumulators.
-        """
-        loads = self._remote_w
-        full_capacity = self.system.server.total_capacity
-        count = new_remote.shape[0]
-
-        owned: dict[str, np.ndarray] = {}
-        for user_id, positions in user_positions.items():
-            mask = np.zeros(count, dtype=bool)
-            mask[positions] = True
-            owned[user_id] = mask
-        active_self = new_remote > MIN_REMOTE_LOAD
-
-        waiting: dict[str, np.ndarray | float] = {}
-        backlog: np.ndarray | float = 0.0
-        for other in sorted(loads):
-            mask = owned.get(other)
-            if mask is None:
-                if loads[other] > MIN_REMOTE_LOAD:
-                    waiting[other] = backlog / full_capacity
-                    backlog = backlog + loads[other]
-                continue
-            waiting[other] = backlog / full_capacity
-            step = np.where(mask, np.where(active_self, new_remote, 0.0), loads[other])
-            if loads[other] <= MIN_REMOTE_LOAD:
-                step = np.where(mask, step, 0.0)
-            backlog = backlog + step
-
-        totals: np.ndarray = np.zeros(count)
-        for other, load in loads.items():
-            mask = owned.get(other)
-            if mask is None:
-                if load > MIN_REMOTE_LOAD:
-                    totals = totals + (load / full_capacity + waiting[other])
-                continue
-            own_term = np.where(
-                active_self, new_remote / full_capacity + waiting[other], 0.0
-            )
-            other_term = (
-                load / full_capacity + waiting[other] if load > MIN_REMOTE_LOAD else 0.0
-            )
-            totals = totals + np.where(mask, own_term, other_term)
-        return totals
 
     def apply_move(self, user_id: str, part_id: int) -> None:
         """Commit the move of (user, part) to local."""
@@ -477,7 +343,6 @@ def generate_offloading_scheme(
     exhaustive: bool = False,
     placement_mode: str = "anchored",
     frozen_remote: Mapping[str, set[int]] | None = None,
-    kernel: str = "auto",
 ) -> GreedyResult:
     """Run Algorithm 2 and return the generated scheme.
 
@@ -492,13 +357,6 @@ def generate_offloading_scheme(
     improvement and re-validates the top entry before accepting — orders
     of magnitude faster on multi-user systems and, because move benefits
     only shrink as the placement drains, virtually always identical.
-
-    *kernel* picks the candidate-scan implementation (see
-    :data:`GREEDY_KERNELS`): full scans — the initial queue fill and every
-    exhaustive-mode iteration — go through the batched
-    :meth:`PlacementEvaluator.evaluate_moves` under ``"numpy"``/``"auto"``,
-    while the lazy loop's single-candidate revalidations stay scalar.
-    The move sequence is bit-identical across kernels.
 
     With a :class:`~repro.mec.channel.SharedChannel` on *system*, the
     effective rate every user transmits at depends on who offloads, and
@@ -519,9 +377,6 @@ def generate_offloading_scheme(
     flip, and the result is bit-identical to the constant-``b`` path
     (pinned by the parity tests).
     """
-    if kernel not in GREEDY_KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {GREEDY_KERNELS}")
-    batched = kernel != "python"
     weights = weights or ObjectiveWeights()
     frozen = {uid: set(parts) for uid, parts in (frozen_remote or {}).items()}
     remote = initial_placement(apps, bisections, mode=placement_mode)
@@ -541,21 +396,14 @@ def generate_offloading_scheme(
         history = [best_value]
         moves: list[tuple[str, int]] = []
 
-        def scan_values(scan: list[tuple[str, int]]) -> list[float]:
-            if batched:
-                return evaluator.evaluate_moves(scan)
-            return [evaluator.evaluate_move(user_id, part_id) for user_id, part_id in scan]
-
         if exhaustive:
             while True:
                 best_candidate: tuple[str, int] | None = None
                 best_candidate_value = best_value
-                scan = [
-                    (user_id, part_id)
-                    for user_id, part_id in evaluator.candidates()
-                    if movable(user_id, part_id)
-                ]
-                for (user_id, part_id), value in zip(scan, scan_values(scan)):
+                for user_id, part_id in evaluator.candidates():
+                    if not movable(user_id, part_id):
+                        continue
+                    value = evaluator.evaluate_move(user_id, part_id)
                     if value < best_candidate_value - _EPS:
                         best_candidate = (user_id, part_id)
                         best_candidate_value = value
@@ -570,14 +418,10 @@ def generate_offloading_scheme(
             # heapify and sequential heappush build different internal arrays,
             # but every (value, user, part) key is distinct, so the pop
             # sequence — all the greedy loop observes — is identical.
-            scan = [
-                (user_id, part_id)
+            heap: list[tuple[float, str, int]] = [
+                (evaluator.evaluate_move(user_id, part_id), user_id, part_id)
                 for user_id, part_id in evaluator.candidates()
                 if movable(user_id, part_id)
-            ]
-            heap: list[tuple[float, str, int]] = [
-                (value, user_id, part_id)
-                for (user_id, part_id), value in zip(scan, scan_values(scan))
             ]
             heapq.heapify(heap)
             while heap:

@@ -11,9 +11,7 @@ computed:
   so planning scales with cores.  Cut strategies are closures and do not
   pickle, so worker processes rebuild their own planner from the
   registry name via :func:`repro.core.baselines.make_planner` (pool
-  initializer), and are pre-warmed with the parent solver's Fiedler
-  warm-start cache so a fresh worker converges as fast as the parent
-  thread would.
+  initializer).
 
 The process path is built to amortise IPC instead of paying it per plan:
 
@@ -65,10 +63,7 @@ from repro.service.shm import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    import numpy as np
-
     from repro.core.planner import OffloadingPlanner
-    from repro.spectral.fiedler import FiedlerSolver
 
 EXECUTOR_MODES = ("thread", "process")
 
@@ -89,55 +84,18 @@ _WORKER_GRAPHS: "OrderedDict[str, FunctionCallGraph]" = OrderedDict()
 """Per-worker LRU of decoded graphs: repeated refs decode once."""
 
 
-def planner_fiedler_solver(planner: "OffloadingPlanner") -> "FiedlerSolver | None":
-    """The Fiedler solver behind *planner*'s cut strategy, if it has one.
-
-    Registry spectral strategies attach their solver to the strategy
-    closure (``cut.fiedler_solver``); other strategies have none.
-    """
-    solver = getattr(planner.cut_strategy, "fiedler_solver", None)
-    if solver is None:
-        return None
-    return solver  # type: ignore[no-any-return]
-
-
-def collect_warm_state(
-    planner: "OffloadingPlanner | None",
-) -> "tuple[bool, list[tuple[str, np.ndarray]]]":
-    """Export (warm-start flag, cache entries) for worker pre-warming."""
-    if planner is None:
-        return False, []
-    solver = planner_fiedler_solver(planner)
-    if solver is None:
-        return False, []
-    return solver.warm_start, solver.export_warm_entries()
-
-
 def _initialize_worker(
     strategy_name: str,
     config: PlannerConfig | None,
-    warm_start: bool = False,
-    warm_entries: "Sequence[tuple[str, np.ndarray]] | None" = None,
     untrack: bool = False,
 ) -> None:
-    """Pool initializer: rebuild the planner inside the worker process.
-
-    The worker's solver is primed with the parent's warm-start cache and
-    inherits the parent's ``warm_start`` flag, so thread and process
-    executors run the same solver policy (both off by default — the
-    bit-exact configuration the parity tests assert).
-    """
+    """Pool initializer: rebuild the planner inside the worker process."""
     global _WORKER_PLANNER, _WORKER_UNTRACK
     from repro.core.baselines import make_planner
 
     _WORKER_PLANNER = make_planner(strategy_name, config)
     _WORKER_UNTRACK = untrack
     _WORKER_GRAPHS.clear()
-    if warm_entries:
-        solver = planner_fiedler_solver(_WORKER_PLANNER)
-        if solver is not None:
-            solver.warm_start = warm_start
-            solver.prime_warm_entries(warm_entries)
 
 
 def _cached_graph(ref: GraphRef) -> FunctionCallGraph:
@@ -237,7 +195,6 @@ class PlanningBackend:
         processes: int | None = None,
         maxtasksperchild: int | None = None,
         store_capacity: int = DEFAULT_STORE_CAPACITY,
-        warm_source: "OffloadingPlanner | None" = None,
     ) -> None:
         if executor not in EXECUTOR_MODES:
             raise ValueError(
@@ -255,7 +212,6 @@ class PlanningBackend:
         self.processes = processes
         self.maxtasksperchild = maxtasksperchild
         self.store_capacity = store_capacity
-        self.warm_source = warm_source
         self._pool: multiprocessing.pool.Pool | None = None
         self._store: SharedGraphStore | None = None
         self._pool_workers = 1
@@ -275,18 +231,11 @@ class PlanningBackend:
                 # attach, and that tracker replays unlink for segments the
                 # parent has since removed — warning at worker exit.
                 resource_tracker.ensure_running()
-            warm_start, warm_entries = collect_warm_state(self.warm_source)
             self._store = SharedGraphStore(capacity=self.store_capacity)
             self._pool = context.Pool(
                 processes=self.processes,
                 initializer=_initialize_worker,
-                initargs=(
-                    self.strategy_name,
-                    self.config,
-                    warm_start,
-                    warm_entries,
-                    untrack,
-                ),
+                initargs=(self.strategy_name, self.config, untrack),
                 maxtasksperchild=self.maxtasksperchild,
             )
             self._pool_workers = self.processes or multiprocessing.cpu_count()
@@ -439,7 +388,5 @@ class PlanningBackend:
 __all__ = [
     "EXECUTOR_MODES",
     "PlanningBackend",
-    "collect_warm_state",
-    "planner_fiedler_solver",
     "process_pool_supported",
 ]

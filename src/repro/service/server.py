@@ -205,7 +205,6 @@ class PlanService:
             strategy_name=planner.strategy_name,
             config=planner.config,
             processes=self.config.workers,
-            warm_source=planner,
         )
         self._threads: list[threading.Thread] = []
         self._started = False

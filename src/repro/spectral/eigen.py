@@ -29,17 +29,13 @@ def power_iteration(
     tol: float = 1e-10,
     max_iter: int = 5000,
     seed: int = 7,
-    start: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Power iteration on an implicit symmetric PSD matrix.
 
     *matvec* computes ``M @ x``; *deflate* is an orthonormal list of
     eigenvectors to project out each step (deflation), so the iteration
     converges to the dominant eigenpair of the orthogonal complement.
-    *start*, when given, seeds the iteration (warm start); a start
-    vector that vanishes under deflation falls back to the seeded
-    random vector, so a bad warm start can slow convergence but never
-    change the answer.
+    The start vector is drawn from *seed*.
 
     Returns ``(eigenvalue, unit eigenvector)``.  Convergence is declared
     when the iterate moves by less than *tol* in the 2-norm.
@@ -48,17 +44,8 @@ def power_iteration(
         raise ValueError(f"dimension must be > 0, got {n}")
     deflate = deflate or []
     rng = np.random.default_rng(seed)
-    if start is not None:
-        x = np.array(start, dtype=float)
-        if x.shape != (n,):
-            raise ValueError(f"start vector must have shape ({n},), got {x.shape}")
-    else:
-        x = rng.standard_normal(n)
-    x = _project_out(x, deflate)
+    x = _project_out(rng.standard_normal(n), deflate)
     norm = np.linalg.norm(x)
-    if norm == 0 and start is not None:
-        x = _project_out(rng.standard_normal(n), deflate)
-        norm = np.linalg.norm(x)
     if norm == 0:
         raise np.linalg.LinAlgError("start vector vanished under deflation")
     x /= norm
@@ -107,7 +94,6 @@ def smallest_nontrivial_laplacian_eigenpair(
     tol: float = 1e-10,
     max_iter: int = 20000,
     seed: int = 7,
-    start: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """The Fiedler pair ``(lambda_2, v_2)`` via deflated power iteration.
 
@@ -115,9 +101,7 @@ def smallest_nontrivial_laplacian_eigenpair(
     (this is the hook the distributed backend uses).  The constant vector
     (the known 0-eigenvector of a connected graph's Laplacian) is deflated;
     power iteration then finds the dominant pair of ``c I - L`` restricted
-    to the complement, which maps back to ``lambda_2 = c - mu``.  *start*
-    seeds the iteration — the warm-start hook: a previous Fiedler vector
-    of a structurally similar graph converges in far fewer steps.
+    to the complement, which maps back to ``lambda_2 = c - mu``.
     """
     laplacian = np.asarray(laplacian, dtype=float)
     n = laplacian.shape[0]
@@ -142,7 +126,7 @@ def smallest_nontrivial_laplacian_eigenpair(
         return shift * x - base_matvec(x)
 
     mu, vector = power_iteration(
-        shifted, n, deflate=[ones], tol=tol, max_iter=max_iter, seed=seed, start=start
+        shifted, n, deflate=[ones], tol=tol, max_iter=max_iter, seed=seed
     )
     lambda2 = shift - mu
     # Numerical floor: eigenvalues of a PSD matrix cannot be negative.

@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import enum
 import logging
-import threading
-from collections import OrderedDict
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import ArpackError, eigsh
 
-from repro.graphs.csr import CSRGraph, as_csr
+from repro.graphs.csr import CSRGraph
 from repro.graphs.laplacian import laplacian_matrix, sparse_laplacian
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.spectral.eigen import smallest_nontrivial_laplacian_eigenpair
@@ -37,8 +35,6 @@ NodeId = Hashable
 _LOG = logging.getLogger(__name__)
 
 _DENSE_CUTOFF = 600
-
-_WARM_CACHE_SIZE = 128
 
 
 class FiedlerMethod(enum.Enum):
@@ -80,19 +76,9 @@ class FiedlerResult:
 class FiedlerSolver:
     """Computes Fiedler pairs with a configurable backend.
 
-    With ``warm_start=True`` the solver keeps a small LRU cache of
-    previously computed Fiedler vectors keyed by
-    :meth:`~repro.graphs.csr.CSRGraph.structure_signature` and seeds the
-    iterative backends (``sparse``'s ``eigsh v0``, ``power``'s and
-    ``lanczos``'s start vector) with the last vector seen for that
-    structure — structurally recurring graphs (the common case under
-    content-affine serving) then converge in far fewer iterations.  Warm
-    starts are **off by default**: iterative solvers started from a
-    different vector may converge to a result differing in the last
-    floating-point bits, which breaks callers that assert bit-identical
-    plans across repeated runs (e.g. the serve-bench cold-vs-cached
-    parity check).  A stale or colliding cache entry can only slow
-    convergence, never change correctness.
+    Every solve is cold: ``power`` and ``lanczos`` start from a vector
+    drawn from *seed*, ``sparse`` from ARPACK's default start, and no
+    solver state carries from one graph to the next.
 
     >>> from repro.graphs.generators import path_graph
     >>> solver = FiedlerSolver()
@@ -107,21 +93,11 @@ class FiedlerSolver:
         dense_cutoff: int = _DENSE_CUTOFF,
         tol: float = 1e-10,
         seed: int = 7,
-        warm_start: bool = False,
-        warm_cache_size: int = _WARM_CACHE_SIZE,
     ) -> None:
-        if warm_cache_size < 1:
-            raise ValueError(f"warm_cache_size must be >= 1, got {warm_cache_size}")
         self.method = FiedlerMethod(method) if isinstance(method, str) else method
         self.dense_cutoff = dense_cutoff
         self.tol = tol
         self.seed = seed
-        self.warm_start = warm_start
-        self.warm_cache_size = warm_cache_size
-        self._warm_cache: OrderedDict[str, np.ndarray] = OrderedDict()
-        self._warm_lock = threading.Lock()
-        self.warm_hits = 0
-        self.warm_misses = 0
         self.sparse_fallbacks = 0
         """Times shift-invert ``eigsh`` failed and the SA fallback ran."""
 
@@ -145,82 +121,24 @@ class FiedlerSolver:
         if graph.node_count == 1:
             return FiedlerResult(0.0, np.zeros(1), node_order, "trivial")
 
-        start = None
-        signature = None
-        if self.warm_start:
-            frozen = as_csr(graph, node_order if order is not None else None)
-            signature = frozen.structure_signature()
-            start = self._warm_lookup(signature, graph.node_count)
-            graph = frozen
-
         method = self._resolve(graph.node_count)
         if method is FiedlerMethod.DENSE:
             value, vector = self._solve_dense(graph, node_order)
         elif method is FiedlerMethod.SPARSE:
-            value, vector = self._solve_sparse(graph, node_order, v0=start)
+            value, vector = self._solve_sparse(graph, node_order)
         elif method is FiedlerMethod.POWER:
             laplacian = laplacian_matrix(graph, node_order)
             value, vector = smallest_nontrivial_laplacian_eigenpair(
-                laplacian, tol=self.tol, seed=self.seed, start=start
+                laplacian, tol=self.tol, seed=self.seed
             )
         elif method is FiedlerMethod.LANCZOS:
             laplacian = laplacian_matrix(graph, node_order)
             value, vector = lanczos_smallest_nontrivial(
-                laplacian, tol=self.tol, seed=self.seed, start=start
+                laplacian, tol=self.tol, seed=self.seed
             )
         else:  # pragma: no cover - enum is exhaustive
             raise AssertionError(f"unhandled method {method}")
-        if signature is not None:
-            self._warm_store(signature, vector)
         return FiedlerResult(value, vector, node_order, method.value)
-
-    # ------------------------------------------------------------------
-    # Warm-start cache
-    # ------------------------------------------------------------------
-    def _warm_lookup(self, signature: str, n: int) -> np.ndarray | None:
-        """Previous Fiedler vector for this structure, if usable."""
-        with self._warm_lock:
-            cached = self._warm_cache.get(signature)
-            if cached is not None and cached.shape == (n,):
-                self._warm_cache.move_to_end(signature)
-                self.warm_hits += 1
-                return cached
-            self.warm_misses += 1
-            return None
-
-    def _warm_store(self, signature: str, vector: np.ndarray) -> None:
-        with self._warm_lock:
-            self._warm_cache[signature] = np.array(vector, dtype=float)
-            self._warm_cache.move_to_end(signature)
-            while len(self._warm_cache) > self.warm_cache_size:
-                self._warm_cache.popitem(last=False)
-
-    def export_warm_entries(self) -> list[tuple[str, np.ndarray]]:
-        """Snapshot the warm-start cache, oldest first.
-
-        The entries are copies: the snapshot can cross a process boundary
-        (process-pool workers are primed with the parent's cache, so a
-        fresh worker converges as fast as the parent thread would) without
-        sharing mutable state.
-        """
-        with self._warm_lock:
-            return [
-                (signature, np.array(vector, dtype=float))
-                for signature, vector in self._warm_cache.items()
-            ]
-
-    def prime_warm_entries(self, entries: Sequence[tuple[str, np.ndarray]]) -> int:
-        """Seed the warm-start cache with exported entries; returns count kept.
-
-        Entries are inserted oldest-first so LRU order survives the
-        round-trip.  Priming never toggles :attr:`warm_start` — a solver
-        configured for bit-exact cold solves stays bit-exact.
-        """
-        kept = 0
-        for signature, vector in entries:
-            self._warm_store(signature, vector)
-            kept += 1
-        return kept
 
     # ------------------------------------------------------------------
     # Backends
@@ -241,24 +159,14 @@ class FiedlerSolver:
         self,
         graph: "WeightedGraph | CSRGraph",
         order: Sequence[NodeId],
-        v0: np.ndarray | None = None,
     ) -> tuple[float, np.ndarray]:
         laplacian = sparse_laplacian(graph, order)
         if not np.issubdtype(laplacian.dtype, np.floating):
             laplacian = laplacian.astype(np.float64)
         n = laplacian.shape[0]
         k = min(2, n - 1)
-        if v0 is not None:
-            # A previous Fiedler vector is orthogonal to the constant
-            # null vector; a Krylov space seeded with it can miss the
-            # trivial 0-eigenpair entirely and shift which Ritz position
-            # lambda_2 occupies.  Blending in the constant direction
-            # guarantees both of the two smallest pairs are reachable.
-            v0 = v0 + np.full(n, 1.0 / np.sqrt(n))
         try:
-            values, vectors = eigsh(
-                laplacian, k=k, sigma=0.0, which="LM", tol=self.tol, v0=v0
-            )
+            values, vectors = eigsh(laplacian, k=k, sigma=0.0, which="LM", tol=self.tol)
         except (RuntimeError, ArpackError) as exc:
             # Shift-invert fails on exactly singular factorizations
             # (disconnected graphs: RuntimeError from the SuperLU factor,
@@ -271,9 +179,7 @@ class FiedlerSolver:
                 n,
                 exc,
             )
-            values, vectors = eigsh(
-                laplacian, k=k, which="SA", tol=max(self.tol, 1e-8), v0=v0
-            )
+            values, vectors = eigsh(laplacian, k=k, which="SA", tol=max(self.tol, 1e-8))
         idx = np.argsort(values)
         if len(idx) < 2:
             return 0.0, vectors[:, idx[0]]

@@ -26,16 +26,14 @@ def lanczos_smallest_nontrivial(
     max_steps: int | None = None,
     tol: float = 1e-10,
     seed: int = 7,
-    start: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Return the Fiedler pair ``(lambda_2, v_2)`` via Lanczos.
 
     *matvec* overrides the dense product (hook for the distributed
     backend).  The Krylov space is built orthogonally to the constant
     vector, so the trivial 0-eigenpair never appears; the smallest Ritz
-    pair is then exactly the Fiedler pair.  *start* seeds the Krylov
-    space (warm start); a start vector that vanishes under deflation
-    falls back to the seeded random vector.
+    pair is then exactly the Fiedler pair.  The start vector is drawn
+    from *seed*.
     """
     laplacian = np.asarray(laplacian, dtype=float)
     n = laplacian.shape[0]
@@ -48,19 +46,9 @@ def lanczos_smallest_nontrivial(
     ones = np.full(n, 1.0 / np.sqrt(n))
     steps = min(n - 1, max_steps if max_steps is not None else max(2 * int(np.sqrt(n)) + 20, 30))
 
-    rng = np.random.default_rng(seed)
-    if start is not None:
-        q = np.array(start, dtype=float)
-        if q.shape != (n,):
-            raise ValueError(f"start vector must have shape ({n},), got {q.shape}")
-    else:
-        q = rng.standard_normal(n)
+    q = np.random.default_rng(seed).standard_normal(n)
     q -= (ones @ q) * ones
     norm = np.linalg.norm(q)
-    if norm == 0 and start is not None:
-        q = rng.standard_normal(n)
-        q -= (ones @ q) * ones
-        norm = np.linalg.norm(q)
     if norm == 0:
         raise np.linalg.LinAlgError("start vector vanished under deflation")
     q /= norm

@@ -195,3 +195,30 @@ class TestParser:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["teleport"])
+
+
+class TestServeHttp:
+    def test_interrupt_during_banner_shuts_down_cleanly(self, monkeypatch, capsys):
+        import builtins
+
+        import repro.cli
+        import repro.service
+
+        closed = []
+
+        class RecordingFrontend(repro.service.HttpFrontendThread):
+            def close(self, timeout: float = 10.0) -> None:
+                closed.append(True)
+                super().close(timeout)
+
+        def interrupting_print(*args, **kwargs):
+            if args and str(args[0]).startswith("plan service listening"):
+                raise KeyboardInterrupt
+            builtins.print(*args, **kwargs)
+
+        monkeypatch.setattr(repro.service, "HttpFrontendThread", RecordingFrontend)
+        monkeypatch.setattr(repro.cli, "print", interrupting_print, raising=False)
+        code = main(["serve-http", "--port", "0", "--workers", "1"])
+        assert code == 0
+        assert "shutting down" in capsys.readouterr().out
+        assert closed == [True]

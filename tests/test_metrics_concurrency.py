@@ -1,4 +1,4 @@
-"""Thread-safety hammers for the service metrics and the warm-start cache.
+"""Thread-safety hammers for the service metrics.
 
 Every test drives real threads through a shared object and asserts an
 *exact* expected total afterwards — a lost update (the classic
@@ -10,12 +10,9 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
-from repro.graphs.generators import grid_graph, path_graph, two_cluster_graph
 from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.spectral.fiedler import FiedlerSolver
 
 THREADS = 8
 ITERATIONS = 2_000
@@ -123,54 +120,3 @@ class TestMetricsRegistry:
         assert len(snap["histograms"]) == 10
         assert sum(snap["counters"].values()) == THREADS * 200
         assert sum(s["count"] for s in snap["histograms"].values()) == THREADS * 200
-
-
-class TestFiedlerWarmStartConcurrency:
-    def test_warm_cache_survives_concurrent_solves(self):
-        """Regression: concurrent solve() calls share the warm cache safely.
-
-        Hit/miss counters are incremented under ``_warm_lock``; if any
-        update were lost (or the OrderedDict corrupted), the exact
-        bookkeeping below would not balance.
-        """
-        solver = FiedlerSolver(warm_start=True, method="lanczos")
-        graphs = [path_graph(24), grid_graph(5, 5), two_cluster_graph(8, 8)]
-        rounds = 12
-
-        def worker(index: int):
-            results = []
-            for round_index in range(rounds):
-                graph = graphs[(index + round_index) % len(graphs)]
-                results.append(solver.solve(graph))
-            return results
-
-        with ThreadPoolExecutor(max_workers=THREADS) as pool:
-            futures = [pool.submit(worker, index) for index in range(THREADS)]
-            all_results = [future.result() for future in futures]
-
-        total_solves = THREADS * rounds
-        assert solver.warm_hits + solver.warm_misses == total_solves
-        # Three distinct structures; everything after the first encounters
-        # is a hit, so at most one miss per (structure, in-flight overlap).
-        assert solver.warm_hits > 0
-        assert len(solver._warm_cache) == len(graphs)
-        # The eigenvalue itself must stay correct under warm starts.
-        for results in all_results:
-            for result in results:
-                assert result.value >= 0.0
-                assert np.isfinite(result.vector).all()
-
-    def test_warm_start_results_match_cold_results(self):
-        graph = two_cluster_graph(10, 10)
-        cold = FiedlerSolver(method="lanczos").solve(graph)
-        warm_solver = FiedlerSolver(warm_start=True, method="lanczos")
-        warm_solver.solve(graph)
-        warm = warm_solver.solve(graph)  # second solve uses the cached vector
-        assert warm_solver.warm_hits == 1
-        assert warm.value == pytest.approx(cold.value, rel=1e-6)
-
-    def test_warm_cache_lru_eviction_bounded(self):
-        solver = FiedlerSolver(warm_start=True, method="lanczos", warm_cache_size=2)
-        for n in (8, 10, 12, 14):
-            solver.solve(path_graph(n))
-        assert len(solver._warm_cache) == 2
