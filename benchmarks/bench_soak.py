@@ -4,18 +4,17 @@ Not pytest-collected (``testpaths = ["tests"]``) — run it directly:
 
     PYTHONPATH=src python benchmarks/bench_soak.py --smoke
 
-Drives a long-lived :class:`~repro.service.PlanService` (process
-executor by default) through many rounds of plan requests.  Each round
-mixes a stable pool of popular apps — exercising the plan cache and the
-shared-memory reuse path — with freshly generated one-off apps that
-churn the LRU caches and the segment store.  A slice of every round is
-routed through the HTTP frontend so the serving surface soaks alongside
-the backend.
+Drives a long-lived :class:`~repro.service.PlanService` through many
+rounds of plan requests.  Each round mixes a stable pool of popular
+apps — exercising the plan cache — with freshly generated one-off apps
+that churn the LRU cache.  A slice of every round is routed through the
+HTTP frontend so the serving surface soaks alongside the worker
+threads.
 
 What it proves (and asserts, exiting non-zero on violation):
 
 * every request over the whole horizon succeeds — no shed/error under
-  sustained load, no worker-pool decay, no segment-store leak stalls;
+  sustained load, no worker-thread decay;
 * plans stay deterministic: the digest of each stable app's plan never
   changes between rounds;
 * resident memory is bounded: RSS growth from the post-warmup baseline
@@ -46,7 +45,6 @@ from repro.service import (
     ServiceConfig,
     graph_to_payload,
     plan_digest,
-    process_pool_supported,
 )
 from repro.workloads.multiuser import build_mec_system
 from repro.workloads.profiles import quick_profile
@@ -86,10 +84,6 @@ def run_soak(args: argparse.Namespace) -> dict:
     # below this point is order-tracked; any observed lock-order
     # inversion fails the soak like any other invariant violation.
     sanitizer = install_from_env()
-    executor = args.executor
-    executor_note = ""
-    if executor == "process" and not process_pool_supported(args.strategy):
-        executor, executor_note = "thread", "process pool unsupported here; fell back to thread"
 
     profile = dataclasses.replace(
         quick_profile(),
@@ -101,11 +95,10 @@ def run_soak(args: argparse.Namespace) -> dict:
 
     config = ServiceConfig(
         workers=args.workers,
-        executor=executor,
         max_queue_depth=4 * (args.users + args.churn) + 8,
         # Deliberately smaller than the distinct apps seen over the
-        # horizon, so the plan cache (and with it the shm store) keeps
-        # evicting — a leak in either shows up as unbounded RSS.
+        # horizon, so the plan cache keeps evicting — a leak shows up as
+        # unbounded RSS.
         cache_capacity=args.pool + 2,
     )
     rounds: list[dict] = []
@@ -144,7 +137,7 @@ def run_soak(args: argparse.Namespace) -> dict:
                 ok += 1
                 # Same request fingerprint must always yield the same
                 # plan bits — even when cache eviction forced a
-                # replan, possibly on a different (recycled) worker.
+                # replan, possibly on a different worker thread.
                 digest = plan_digest(response.plan) if response.plan else ""
                 previous = plan_digests.setdefault(response.key, digest)
                 if previous != digest:
@@ -211,8 +204,6 @@ def run_soak(args: argparse.Namespace) -> dict:
             "churn": args.churn,
             "graph_size": args.graph_size,
             "workers": args.workers,
-            "executor": executor,
-            "executor_note": executor_note,
             "strategy": args.strategy,
             "warmup_rounds": warmup,
             "rss_ceiling_mb": args.rss_ceiling_mb,
@@ -251,7 +242,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--churn", type=int, default=2, help="fresh one-off apps per round")
     parser.add_argument("--graph-size", type=int, default=100, help="functions per app")
     parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--executor", choices=("thread", "process"), default="process")
     parser.add_argument("--strategy", default="spectral")
     parser.add_argument("--warmup-rounds", type=int, default=2)
     parser.add_argument("--rss-ceiling-mb", type=int, default=192)
@@ -267,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
 
     totals, rss = payload["totals"], payload["rss"]
     print(
-        f"soak[{payload['config']['executor']}]: {totals['ok']}/{totals['requests']} plans ok "
+        f"soak: {totals['ok']}/{totals['requests']} plans ok "
         f"over {payload['config']['rounds']} rounds, "
         f"{totals['plans_per_sec']:.1f} plans/s sustained, "
         f"{payload['http']['ok']}/{payload['http']['requests']} HTTP round-trips ok"

@@ -2,11 +2,11 @@
 
 The serving stack's correctness rests on one invariant: a plan is a
 deterministic function of the request's content fingerprint.  The plan
-cache answers one user's request with another user's plan; thread and
-process executors must produce byte-identical plans; every fleet node
-must compute the same answer from the same inputs.  These rules police
-the planning packages (``repro.core``, ``repro.compression``,
-``repro.spectral``, ``repro.mec``) and the forecasting package
+cache answers one user's request with another user's plan; every
+worker thread and every fleet node must compute the same answer from
+the same inputs.  These rules police the planning packages
+(``repro.core``, ``repro.compression``, ``repro.spectral``,
+``repro.mec``) and the forecasting package
 (``repro.forecast``, whose predictions drive proactive placement and
 must replay identically from a recorded trace) for the three ways that
 invariant historically breaks:

@@ -1,13 +1,12 @@
 """Process-pool safety: only rebuildable payloads cross the boundary.
 
-``PlanningBackend``'s process mode works because nothing stateful ever
-crosses the fork: worker processes rebuild their planner from a
-``(strategy name, config)`` pair via the registry, and only plain
-picklable dataclasses travel as arguments.  A lambda, closure, or bound
-method handed to a pool drags its enclosing environment along — locks in
-undefined states, open files, live planner instances — and either fails
-to pickle or, worse under ``fork``, silently shares what must not be
-shared.
+A process pool is safe when nothing stateful crosses into its workers:
+each worker rebuilds what it needs (a planner from a ``(strategy name,
+config)`` pair via the registry, say) and only plain picklable data
+travels as arguments.  A lambda, closure, or bound method handed to a
+pool drags its enclosing environment along — locks in undefined states,
+open files, live planner instances — and either fails to pickle or,
+worse under ``fork``, silently shares what must not be shared.
 
 This rule checks every submission to a pool-like object (a receiver
 whose name contains ``pool``) in modules that use ``multiprocessing`` or
@@ -15,6 +14,8 @@ whose name contains ``pool``) in modules that use ``multiprocessing`` or
 any ``initializer=``) must be a module-level name, which pickles by
 reference and is rebuilt cleanly on the other side.  Thread pools are
 exempt — modules that never import a process-pool API are skipped.
+Planning runs on threads; the rule guards any process pool added
+later.
 """
 
 from __future__ import annotations
@@ -168,113 +169,3 @@ class PoolSubmissionRule(Rule):
                 hint="pass a module-level function",
             )
         ]
-
-
-def _imports_shared_memory(tree: ast.Module) -> bool:
-    """Whether the module imports ``multiprocessing.shared_memory``."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            if any(
-                alias.name.startswith("multiprocessing.shared_memory")
-                for alias in node.names
-            ):
-                return True
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module == "multiprocessing" and any(
-                alias.name == "shared_memory" for alias in node.names
-            ):
-                return True
-            if node.module.startswith("multiprocessing.shared_memory"):
-                return True
-    return False
-
-
-def _creates_segment(call: ast.Call) -> bool:
-    """Whether a ``SharedMemory(...)`` call is the create (owner) form."""
-    for keyword in call.keywords:
-        if keyword.arg == "create":
-            return isinstance(keyword.value, ast.Constant) and bool(keyword.value.value)
-    if len(call.args) >= 2:
-        second = call.args[1]
-        return isinstance(second, ast.Constant) and bool(second.value)
-    return False
-
-
-@register
-class SharedMemoryLifecycleRule(Rule):
-    """Shared-memory segments must be closed — and, when owned, unlinked.
-
-    A ``SharedMemory(create=True)`` segment outlives every process that
-    maps it: without an ``unlink()`` it stays in ``/dev/shm`` until
-    reboot, and without ``close()`` the mapping pins the pages for the
-    process lifetime.  Attach-side (``create=False``) users only need
-    ``close()`` — unlinking from an attacher would yank the segment out
-    from under its owner.  The check is module-wide presence, not
-    per-object flow: a module that creates segments must contain both a
-    ``.close()`` and an ``.unlink()`` call somewhere; a module that only
-    attaches must contain ``.close()``.
-    """
-
-    rule_id = "poolsafety/shm-unlink"
-    description = (
-        "modules creating shared-memory segments must close() and unlink() "
-        "them; attach-only modules must close()"
-    )
-
-    def check(self, module: ModuleUnit) -> list[Finding]:
-        if not _imports_shared_memory(module.tree):
-            return []
-        creates: list[ast.Call] = []
-        attaches: list[ast.Call] = []
-        has_close = has_unlink = False
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = (
-                func.attr
-                if isinstance(func, ast.Attribute)
-                else func.id
-                if isinstance(func, ast.Name)
-                else None
-            )
-            if name == "SharedMemory":
-                (creates if _creates_segment(node) else attaches).append(node)
-            elif isinstance(func, ast.Attribute):
-                if func.attr == "close":
-                    has_close = True
-                elif func.attr == "unlink":
-                    has_unlink = True
-        findings: list[Finding] = []
-        if creates and not (has_close and has_unlink):
-            missing = " and ".join(
-                part
-                for part, present in (("close()", has_close), ("unlink()", has_unlink))
-                if not present
-            )
-            for call in creates:
-                findings.append(
-                    module.finding(
-                        self.rule_id,
-                        call,
-                        f"SharedMemory(create=True) here, but the module never "
-                        f"calls {missing}: owned segments leak in /dev/shm "
-                        "until reboot",
-                        hint="close() the mapping and unlink() the segment on "
-                        "every exit path (eviction, shutdown, error)",
-                    )
-                )
-        if attaches and not has_close:
-            for call in attaches:
-                findings.append(
-                    module.finding(
-                        self.rule_id,
-                        call,
-                        "SharedMemory attach here, but the module never calls "
-                        "close(): the mapping pins the segment's pages for "
-                        "the process lifetime",
-                        hint="close() the segment after decoding (attachers "
-                        "must not unlink)",
-                    )
-                )
-        return findings

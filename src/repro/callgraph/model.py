@@ -8,6 +8,7 @@ it may be offloaded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
 
@@ -42,28 +43,6 @@ class FunctionCallGraph:
         self.app_name = app_name
         self._graph = WeightedGraph()
         self._info: dict[str, FunctionInfo] = {}
-
-    @classmethod
-    def from_parts(
-        cls,
-        app_name: str,
-        graph: WeightedGraph,
-        info: dict[str, FunctionInfo],
-    ) -> "FunctionCallGraph":
-        """Reassemble a call graph from a prebuilt graph and metadata map.
-
-        Codec entry point (shared-memory transfer, serialization): *graph*
-        and *info* are adopted as-is, so the caller is responsible for
-        their consistency — every graph node must appear in *info* with a
-        matching computation weight, and iteration orders are taken
-        verbatim (decoders reconstruct insertion order deliberately).
-        """
-        if set(info) != set(graph.node_list()):
-            raise ValueError("info keys must match graph nodes exactly")
-        fcg = cls(app_name)
-        fcg._graph = graph
-        fcg._info = info
-        return fcg
 
     # ------------------------------------------------------------------
     # Construction
@@ -163,14 +142,17 @@ class FunctionCallGraph:
         When a group of offloadable functions executes remotely, every data
         flow it has with a pinned-local function crosses the wireless link;
         the greedy scheme generator charges that traffic via this helper.
+        The sum is exact (``math.fsum``), so it does not depend on the
+        iteration order of *nodes* — typically a set of names, whose order
+        follows the interpreter's hash seed.
         """
         pinned = set(self.unoffloadable_functions())
-        total = 0.0
-        for node in nodes:
-            for neighbor, weight in self._graph.neighbor_items(node):
-                if neighbor in pinned:
-                    total += weight
-        return total
+        return math.fsum(
+            weight
+            for node in nodes
+            for neighbor, weight in self._graph.neighbor_items(node)
+            if neighbor in pinned
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -134,11 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--strategy", choices=["spectral", "maxflow", "kl"], default="spectral"
     )
-    serve.add_argument(
-        "--executor", choices=["thread", "process", "both"], default="thread",
-        help="where planning runs; 'both' replays the trace once per mode "
-             "and reports the throughput comparison in one run",
-    )
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
         "--spill", type=Path, default=None, help="plan-cache JSON spill file"
@@ -154,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     http.add_argument("--host", default="127.0.0.1")
     http.add_argument("--port", type=int, default=8753)
     http.add_argument("--workers", type=int, default=2)
-    http.add_argument("--executor", choices=["thread", "process"], default="thread")
     http.add_argument(
         "--strategy", choices=["spectral", "maxflow", "kl"], default="spectral"
     )
@@ -267,11 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--strategy", choices=["spectral", "maxflow", "kl"], default="spectral"
-    )
-    fleet.add_argument(
-        "--executor", choices=["thread", "process", "both"], default="thread",
-        help="where planning runs; 'both' runs the comparison once per mode "
-             "and reports both wall times in one run",
     )
     fleet.add_argument("--rate", type=float, default=200.0, help="Poisson arrival rate")
     fleet.add_argument("--seed", type=int, default=0)
@@ -572,82 +561,62 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     # the service's content fingerprints can.
     arrivals = replay_arrivals(workload, rate=args.rate, seed=args.seed)
 
-    executors = ["thread", "process"] if args.executor == "both" else [args.executor]
-    throughputs: dict[str, float] = {}
-    digests_by_executor: dict[str, dict[str, str]] = {}
+    planner = make_planner(args.strategy)
+    config = ServiceConfig(
+        workers=args.workers,
+        max_queue_depth=args.queue_depth,
+        max_batch=args.batch,
+        cache_capacity=args.cache_capacity,
+        spill_path=str(args.spill) if args.spill is not None else None,
+    )
+    watch = Stopwatch()
+    with PlanService(planner, config) as service:
+        with watch:
+            tickets = [service.submit(graph) for _, graph in arrivals]
+            responses = [ticket.result() for ticket in tickets]
+        invocations = service.planner_invocations
+        report = service.metrics_report()
+        cached_digests = {}
+        for app in workload.distinct_graphs:
+            response = service.plan(app)
+            if response.ok:
+                cached_digests[app.app_name] = plan_digest(response.plan)
 
-    for executor in executors:
-        planner = make_planner(args.strategy)
-        config = ServiceConfig(
-            workers=args.workers,
-            executor=executor,
-            max_queue_depth=args.queue_depth,
-            max_batch=args.batch,
-            cache_capacity=args.cache_capacity,
-            spill_path=str(args.spill) if args.spill is not None else None,
-        )
-        watch = Stopwatch()
-        with PlanService(planner, config) as service:
-            with watch:
-                tickets = [service.submit(graph) for _, graph in arrivals]
-                responses = [ticket.result() for ticket in tickets]
-            invocations = service.planner_invocations
-            report = service.metrics_report()
-            cached_digests = {}
-            for app in workload.distinct_graphs:
-                response = service.plan(app)
-                if response.ok:
-                    cached_digests[app.app_name] = plan_digest(response.plan)
-        digests_by_executor[executor] = cached_digests
+    ok = sum(1 for r in responses if r.ok)
+    shed = sum(1 for r in responses if r.error is not None and r.error.code == "shed")
+    errored = len(responses) - ok - shed
+    hit_rate = 0.0 if ok == 0 else max(0.0, 1.0 - invocations / ok)
 
-        ok = sum(1 for r in responses if r.ok)
-        shed = sum(1 for r in responses if r.error is not None and r.error.code == "shed")
-        errored = len(responses) - ok - shed
-        hit_rate = 0.0 if ok == 0 else max(0.0, 1.0 - invocations / ok)
+    # Parity check: a cold plan of each pool app (planned fresh by a
+    # separate planner) must serialise byte-identically to what the
+    # service answered from its cache.
+    parity_planner = make_planner(args.strategy)
+    identical = sum(
+        1
+        for app in workload.distinct_graphs
+        if cached_digests.get(app.app_name) == plan_digest(parity_planner.plan_user(app))
+    )
 
-        # Parity check: a cold plan of each pool app (planned fresh by a
-        # separate planner) must serialise byte-identically to what the
-        # service answered from its cache.
-        parity_planner = make_planner(args.strategy)
-        identical = sum(
-            1
-            for app in workload.distinct_graphs
-            if cached_digests.get(app.app_name) == plan_digest(parity_planner.plan_user(app))
-        )
-
-        throughput = len(responses) / watch.elapsed if watch.elapsed > 0 else 0.0
-        throughputs[executor] = throughput
-        print(
-            f"serve-bench[{executor}]: {len(responses)} requests over "
-            f"{args.pool} distinct apps ({args.graph_size} functions), "
-            f"{args.workers} workers"
-        )
-        print(report)
-        print(
-            f"requests ok/shed/errored: {ok}/{shed}/{errored}; "
-            f"throughput {throughput:.1f} req/s"
-        )
-        latency = service.metrics.histogram("request_latency_seconds")
-        print(
-            f"request latency p50/p95: "
-            f"{1000 * latency.percentile(0.50):.2f}ms/{1000 * latency.percentile(0.95):.2f}ms"
-        )
-        print(f"service hit rate: {hit_rate:.3f} (planner invocations: {invocations})")
-        print(f"plan parity: cached == cold for {identical}/{len(workload.distinct_graphs)} apps")
-        if args.spill is not None:
-            print(f"spilled plan cache to {args.spill}")
-
-    if len(executors) > 1:
-        thread_tp, process_tp = throughputs["thread"], throughputs["process"]
-        speedup = process_tp / thread_tp if thread_tp > 0 else 0.0
-        match = digests_by_executor["thread"] == digests_by_executor["process"]
-        print(
-            f"executor comparison: thread {thread_tp:.1f} req/s, "
-            f"process {process_tp:.1f} req/s ({speedup:.2f}x); "
-            f"plans {'identical' if match else 'DIFFER'} across executors"
-        )
-        if not match:
-            return 1
+    throughput = len(responses) / watch.elapsed if watch.elapsed > 0 else 0.0
+    print(
+        f"serve-bench: {len(responses)} requests over "
+        f"{args.pool} distinct apps ({args.graph_size} functions), "
+        f"{args.workers} workers"
+    )
+    print(report)
+    print(
+        f"requests ok/shed/errored: {ok}/{shed}/{errored}; "
+        f"throughput {throughput:.1f} req/s"
+    )
+    latency = service.metrics.histogram("request_latency_seconds")
+    print(
+        f"request latency p50/p95: "
+        f"{1000 * latency.percentile(0.50):.2f}ms/{1000 * latency.percentile(0.95):.2f}ms"
+    )
+    print(f"service hit rate: {hit_rate:.3f} (planner invocations: {invocations})")
+    print(f"plan parity: cached == cold for {identical}/{len(workload.distinct_graphs)} apps")
+    if args.spill is not None:
+        print(f"spilled plan cache to {args.spill}")
     return 0
 
 
@@ -657,7 +626,6 @@ def cmd_serve_http(args: argparse.Namespace) -> int:
     planner = make_planner(args.strategy)
     config = ServiceConfig(
         workers=args.workers,
-        executor=args.executor,
         cache_capacity=args.cache_capacity,
         spill_path=str(args.spill) if args.spill is not None else None,
     )
@@ -780,47 +748,35 @@ def cmd_fleet_bench(args: argparse.Namespace) -> int:
     )
     if args.mobility:
         return _fleet_mobility_bench(args, profile)
-    from repro.utils.timer import Stopwatch
-
-    executors = ["thread", "process"] if args.executor == "both" else [args.executor]
-    elapsed: dict[str, float] = {}
-    comparison = None
-    combined_by_executor: dict[str, list[float]] = {}
-    for executor in executors:
-        watch = Stopwatch()
-        with watch:
-            comparison = run_fleet_routing_experiment(
-                n_users=args.requests,
-                n_servers=args.servers,
-                profile=profile,
-                policies=policies,
-                strategy=args.strategy,
-                rate=args.rate,
+    comparison = run_fleet_routing_experiment(
+        n_users=args.requests,
+        n_servers=args.servers,
+        profile=profile,
+        policies=policies,
+        strategy=args.strategy,
+        rate=args.rate,
+        seed=args.seed,
+        max_users_per_server=args.max_users_per_server,
+        capacities=args.capacities,
+        balance_on=args.balance_on,
+        latency=(
+            make_latency_map(
+                args.latency,
+                seconds_per_unit=args.rtt_scale,
                 seed=args.seed,
-                max_users_per_server=args.max_users_per_server,
-                executor=executor,
-                capacities=args.capacities,
-                balance_on=args.balance_on,
-                latency=(
-                    make_latency_map(
-                        args.latency,
-                        seconds_per_unit=args.rtt_scale,
-                        seed=args.seed,
-                    )
-                    if args.latency != "none"
-                    else None
-                ),
-                latency_weight=args.latency_weight,
-                migration=MigrationCostModel(handoff_latency=args.handoff_latency),
-                rebalance=args.rebalance,
-                sla_deadline=args.sla,
-                sla_action=args.sla_action,
-                forecaster=args.forecaster,
-                horizon=args.horizon,
-                utilisation_threshold=args.utilisation_threshold,
             )
-        elapsed[executor] = watch.elapsed
-        combined_by_executor[executor] = [row.combined for row in comparison.rows]
+            if args.latency != "none"
+            else None
+        ),
+        latency_weight=args.latency_weight,
+        migration=MigrationCostModel(handoff_latency=args.handoff_latency),
+        rebalance=args.rebalance,
+        sla_deadline=args.sla,
+        sla_action=args.sla_action,
+        forecaster=args.forecaster,
+        horizon=args.horizon,
+        utilisation_threshold=args.utilisation_threshold,
+    )
     single = comparison.single
     n_servers = len(args.capacities) if args.capacities else args.servers
     pool_desc = (
@@ -876,18 +832,6 @@ def cmd_fleet_bench(args: argparse.Namespace) -> int:
             f"{total_violations} violations and {total_rejections} rejections "
             f"across policies"
         )
-    if len(executors) > 1:
-        thread_s, process_s = elapsed["thread"], elapsed["process"]
-        speedup = thread_s / process_s if process_s > 0 else float("inf")
-        match = combined_by_executor["thread"] == combined_by_executor["process"]
-        print(
-            f"executor comparison: thread {thread_s:.2f}s, process {process_s:.2f}s "
-            f"({speedup:.2f}x); policy results "
-            f"{'identical' if match else 'DIFFER'} across executors"
-        )
-        if not match:
-            print("error: executor backends disagree on policy results", file=sys.stderr)
-            return 1
     return 0
 
 

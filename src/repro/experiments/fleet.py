@@ -63,7 +63,6 @@ from repro.mobility import (
     make_handover_policy,
     make_mobility_model,
 )
-from repro.service.executor import PlanningBackend
 from repro.workloads.multiuser import build_mec_system
 from repro.workloads.profiles import ExperimentProfile, quick_profile
 from repro.workloads.traces import replay_arrivals
@@ -129,9 +128,6 @@ def _replay(
     profile: ExperimentProfile,
     sla: UserSLA | None = None,
 ) -> None:
-    # Batch admission is sequential-equivalent (same routing, caching and
-    # planner state as an admit() loop); with a planning backend attached
-    # to the fleet, the batch's distinct plans compute in parallel.
     devices = [
         (MobileDevice(user_id, profile=profile.device), graph)
         for user_id, graph in arrivals
@@ -151,7 +147,6 @@ def run_fleet_routing_experiment(
     rate: float = 200.0,
     seed: int = 0,
     max_users_per_server: int | None = None,
-    executor: str = "thread",
     *,
     capacities: Sequence[float] | None = None,
     balance_on: str = "users",
@@ -176,9 +171,6 @@ def run_fleet_routing_experiment(
     *latency*/*latency_weight* thread a geo RTT model through routing
     and accounting; *rebalance* runs a post-replay rebalancing pass
     (``"free"`` unconditional, ``"cost-aware"`` migration-priced).
-    *executor* selects where planning runs (``"thread"`` inline or
-    ``"process"`` on a multiprocessing pool); planning is deterministic,
-    so the rows are identical either way.
 
     *sla_deadline* attaches a :class:`~repro.forecast.sla.UserSLA` (in
     scalarised ``E + T``) to every arrival, *sla_action* picking what
@@ -206,12 +198,6 @@ def run_fleet_routing_experiment(
     else:
         total_capacity = profile.server_capacity_per_user * n_users
 
-    backend = (
-        PlanningBackend(executor="process", strategy_name=strategy)
-        if executor == "process"
-        else None
-    )
-
     def run(policy_name: str, servers: int, server_capacities: Sequence[float] | None) -> FleetPolicyRow:
         if server_capacities is not None:
             servers = len(server_capacities)
@@ -227,7 +213,6 @@ def run_fleet_routing_experiment(
                 latency_weight=latency_weight,
             ),
             max_users_per_server=max_users_per_server,
-            backend=backend,
             latency=latency,
             migration=migration,
             forecaster=forecaster,
@@ -266,20 +251,14 @@ def run_fleet_routing_experiment(
             sla_violation_rate=sla_report.violation_rate,
         )
 
-    try:
-        if backend is not None:
-            backend.start()
-        single = run("round-robin", 1, None)
-        single = dataclasses.replace(single, policy="single", vs_single=1.0)
-        rows = [
-            dataclasses.replace(
-                row, vs_single=row.combined / single.combined if single.combined else 0.0
-            )
-            for row in (run(name, n_servers, capacities) for name in policies)
-        ]
-    finally:
-        if backend is not None:
-            backend.close()
+    single = run("round-robin", 1, None)
+    single = dataclasses.replace(single, policy="single", vs_single=1.0)
+    rows = [
+        dataclasses.replace(
+            row, vs_single=row.combined / single.combined if single.combined else 0.0
+        )
+        for row in (run(name, n_servers, capacities) for name in policies)
+    ]
     return FleetRoutingComparison(rows=rows, single=single)
 
 

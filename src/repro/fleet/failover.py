@@ -65,9 +65,7 @@ def handle_outage(fleet: EdgeFleet, outage: ServerOutage) -> FailoverReport:
 
     Users are re-admitted in their original admission order through
     :meth:`EdgeFleet.admit_many`, so re-routing respects the fleet's
-    policy and capacity caps — and when the fleet has a planning backend
-    attached, plans the survivors' caches no longer hold are recomputed
-    in parallel across its process pool.  Each reassigned user is
+    policy and capacity caps.  Each reassigned user is
     charged the migration cost of the move (their offloaded input data
     did not teleport to the survivor); with zero surviving capacity
     every drained user degrades to all-local execution instead of being

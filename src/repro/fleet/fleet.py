@@ -55,7 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.results import CutStrategy, UserPlan
     from repro.mec.objective import ObjectiveWeights
     from repro.mobility.handover import HandoverDecision, HandoverPolicy
-    from repro.service.executor import PlanningBackend
 
 
 def all_local_breakdown(device: MobileDevice, graph: FunctionCallGraph) -> ConsumptionBreakdown:
@@ -219,9 +218,10 @@ class FleetServer:
         (rebalance/failover replay) bypasses the cache lookup — the move
         is not a request, so it must not distort hit-rate statistics —
         but still populates the cache for future arrivals.  A
-        *fallback_plan* (batch pre-planning) is only used after a cache
-        miss, so hit-rate statistics stay identical to planning inline;
-        planning is deterministic, so the result is identical too.
+        *fallback_plan* (planned up front for an SLA feasibility check) is
+        only used after a cache miss, so hit-rate statistics stay
+        identical to planning inline; planning is deterministic, so the
+        result is identical too.
         """
         cache_hit = False
         if plan is None:
@@ -383,7 +383,6 @@ class EdgeFleet:
         metrics: MetricsRegistry | None = None,
         cache_capacity: int = 256,
         max_users_per_server: int | None = None,
-        backend: "PlanningBackend | None" = None,
         latency: LatencyMap | None = None,
         migration: MigrationCostModel | None = None,
         forecaster: str | None = "ewma",
@@ -418,7 +417,6 @@ class EdgeFleet:
         self._template = template
         self.strategy_name = template.strategy_name
         self.config = template.config
-        self.backend = backend
         self.routing = routing or RoundRobinRouting()
         self.metrics = metrics or MetricsRegistry()
         self.max_users_per_server = max_users_per_server
@@ -485,7 +483,52 @@ class EdgeFleet:
         is rejected outright, per :attr:`~repro.forecast.sla.UserSLA.
         on_infeasible`.
         """
-        return self._admit_one(device, graph, fallback_plan=None, sla=sla)
+        user_id = device.device_id
+        if user_id in self._owner or user_id in self._degraded:
+            raise ValueError(f"user {user_id!r} already admitted to the fleet")
+        started = time.perf_counter()
+        eligible = self._eligible()
+        if not eligible:
+            return self._admit_infeasible(device, graph, sla)
+
+        key = self.request_key(graph)
+        fallback_plan: "UserPlan | None" = None
+        if sla is not None:
+            # Feasibility needs the newcomer's plan before any server is
+            # chosen; borrow a cached one when possible, else plan once
+            # and hand the result down as the admission's fallback plan
+            # (used only on a cache miss, so hit-rate stats are honest).
+            fallback_plan = self._lookup_plan(key)
+            if fallback_plan is None:
+                fallback_plan = self._template.plan_user(graph)
+            eligible = self._sla_feasible(eligible, device, graph, fallback_plan, sla)
+            if not eligible:
+                return self._admit_infeasible(device, graph, sla)
+        target = self.routing.route(
+            key,
+            [
+                server.load(
+                    rtt=self.latency.rtt(user_id, server.server_id),
+                    predicted_utilisation=(
+                        self.telemetry.predict_utilisation(server.server_id)
+                        if self.telemetry is not None
+                        else None
+                    ),
+                )
+                for server in eligible
+            ],
+        )
+        server = self.servers[target]
+        record, cache_hit = server.admit(device, graph, key, fallback_plan=fallback_plan)
+        self._owner[user_id] = target
+        if sla is not None:
+            self._slas[user_id] = sla
+        self.metrics.counter("fleet_admitted").inc()
+        self.metrics.counter("fleet_cache_hits" if cache_hit else "fleet_cache_misses").inc()
+        self.metrics.gauge(f"fleet_users_{target}").set(server.users)
+        self.metrics.histogram("fleet_admit_seconds").observe(time.perf_counter() - started)
+        self._record_tick()
+        return FleetAdmission(user_id, target, record, cache_hit=cache_hit)
 
     def _lookup_plan(self, key: str) -> "UserPlan | None":
         """Any server's cached plan for *key*, without statistics churn.
@@ -550,108 +593,18 @@ class EdgeFleet:
         self._record_tick()
         return FleetAdmission(user_id, None, None, degraded=True)
 
-    def _admit_one(
-        self,
-        device: MobileDevice,
-        graph: FunctionCallGraph,
-        fallback_plan: "UserPlan | None",
-        sla: UserSLA | None = None,
-    ) -> FleetAdmission:
-        user_id = device.device_id
-        if user_id in self._owner or user_id in self._degraded:
-            raise ValueError(f"user {user_id!r} already admitted to the fleet")
-        started = time.perf_counter()
-        eligible = self._eligible()
-        if not eligible:
-            return self._admit_infeasible(device, graph, sla)
-
-        key = self.request_key(graph)
-        if sla is not None:
-            # Feasibility needs the newcomer's plan before any server is
-            # chosen; borrow a cached one when possible, else plan once
-            # and hand the result down as the admission's fallback plan
-            # (used only on a cache miss, so hit-rate stats are honest).
-            if fallback_plan is None:
-                fallback_plan = self._lookup_plan(key)
-            if fallback_plan is None:
-                fallback_plan = self._template.plan_user(graph)
-            eligible = self._sla_feasible(eligible, device, graph, fallback_plan, sla)
-            if not eligible:
-                return self._admit_infeasible(device, graph, sla)
-        target = self.routing.route(
-            key,
-            [
-                server.load(
-                    rtt=self.latency.rtt(user_id, server.server_id),
-                    predicted_utilisation=(
-                        self.telemetry.predict_utilisation(server.server_id)
-                        if self.telemetry is not None
-                        else None
-                    ),
-                )
-                for server in eligible
-            ],
-        )
-        server = self.servers[target]
-        record, cache_hit = server.admit(device, graph, key, fallback_plan=fallback_plan)
-        self._owner[user_id] = target
-        if sla is not None:
-            self._slas[user_id] = sla
-        self.metrics.counter("fleet_admitted").inc()
-        self.metrics.counter("fleet_cache_hits" if cache_hit else "fleet_cache_misses").inc()
-        self.metrics.gauge(f"fleet_users_{target}").set(server.users)
-        self.metrics.histogram("fleet_admit_seconds").observe(time.perf_counter() - started)
-        self._record_tick()
-        return FleetAdmission(user_id, target, record, cache_hit=cache_hit)
-
     def admit_many(
         self,
         arrivals: "Sequence[tuple[MobileDevice, FunctionCallGraph]]",
-        backend: "PlanningBackend | None" = None,
         slas: Mapping[str, UserSLA] | None = None,
     ) -> list[FleetAdmission]:
-        """Admit a batch of users; identical outcome to sequential admits.
+        """Admit a batch of users in order, exactly as an ``admit`` loop.
 
-        Plans are server-independent and planning is deterministic, so a
-        batch can pre-plan its distinct fingerprints up front — fanning
-        across *backend*'s process pool when one is attached (falling
-        back to ``self.backend``, then to inline planning) — while the
-        admissions themselves stay sequential.  Routing decisions,
-        cache-hit accounting, capacity caps and planner state therefore
-        match a plain ``admit`` loop exactly; only the planning work is
-        hoisted out and parallelised.  *slas* attaches per-user
-        :class:`~repro.forecast.sla.UserSLA` deadlines by device id.
+        *slas* attaches per-user :class:`~repro.forecast.sla.UserSLA`
+        deadlines by device id.
         """
-        backend = backend if backend is not None else self.backend
-        precomputed: dict[str, "UserPlan"] = {}
-        if backend is not None and len(arrivals) > 1:
-            pending: dict[str, FunctionCallGraph] = {}
-            for _, graph in arrivals:
-                key = self.request_key(graph)
-                if key in pending or any(
-                    key in server.cache for server in self.servers.values()
-                ):
-                    continue
-                pending[key] = graph
-            if pending:
-                keys = list(pending)
-                try:
-                    plans = backend.plan_many(
-                        self._template, [pending[key] for key in keys]
-                    )
-                except Exception:  # noqa: BLE001 - pre-planning is best-effort
-                    # Fall back to inline planning so batch admission
-                    # raises exactly where a sequential loop would.
-                    self.metrics.counter("fleet_preplan_failures").inc()
-                else:
-                    precomputed = dict(zip(keys, plans, strict=True))
         return [
-            self._admit_one(
-                device,
-                graph,
-                fallback_plan=precomputed.get(self.request_key(graph)),
-                sla=(slas or {}).get(device.device_id),
-            )
+            self.admit(device, graph, sla=(slas or {}).get(device.device_id))
             for device, graph in arrivals
         ]
 
@@ -672,12 +625,10 @@ class EdgeFleet:
             if not self._eligible():
                 break
             entry = self._degraded.pop(user_id)
-            admission = self._admit_one(
-                entry.device, entry.graph, fallback_plan=None, sla=entry.sla
-            )
+            admission = self.admit(entry.device, entry.graph, sla=entry.sla)
             if admission.degraded:
                 # Capacity exists but the user's SLA still finds no
-                # feasible server; _admit_one re-queued them degraded.
+                # feasible server; admit re-queued them degraded.
                 continue
             readmitted.append(admission)
             self.metrics.counter("fleet_degraded_recovered").inc()

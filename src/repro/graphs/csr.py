@@ -3,9 +3,9 @@
 The dict-of-dict :class:`~repro.graphs.weighted_graph.WeightedGraph` is
 the right structure for *building* and *mutating* graphs (compression
 merges, workload generation), but array read paths — Laplacian
-assembly, cut evaluation, the shared-memory graph transfer — would pay
-Python-level hashing per edge visit.  :class:`CSRGraph` freezes a
-weighted graph into four numpy arrays in compressed-sparse-row layout:
+assembly, cut evaluation — would pay Python-level hashing per edge
+visit.  :class:`CSRGraph` freezes a weighted graph into four numpy
+arrays in compressed-sparse-row layout:
 
 * ``indptr``  — ``int64[n + 1]``; node ``i``'s incident edges occupy the
   half-open slice ``indptr[i]:indptr[i + 1]``;
@@ -207,37 +207,6 @@ class CSRGraph:
             dtype=np.float64,
         )
         return (off_diagonal + sparse.diags(self.weighted_degrees(), format="csr")).tocsr()
-
-    # ------------------------------------------------------------------
-    # Reconstruction
-    # ------------------------------------------------------------------
-    def to_weighted_graph(self) -> WeightedGraph:
-        """Thaw the snapshot back into a :class:`WeightedGraph`.
-
-        The reconstruction is *order-exact*: node insertion order matches
-        :attr:`nodes` and every per-node adjacency dict is populated in
-        incidence order — which :meth:`from_graph` recorded as the source
-        graph's adjacency-dict insertion order.  Replaying ``add_edge``
-        calls cannot achieve this (an edge insert writes both endpoint
-        dicts at once, interleaving their orders), so the adjacency map is
-        rebuilt directly.  Deterministic consumers (label propagation,
-        traversals) therefore see the identical iteration order on the
-        thawed graph — the property the zero-copy process transfer relies
-        on for bit-identical plans.
-        """
-        graph = WeightedGraph()
-        for i, node in enumerate(self.nodes):
-            graph.add_node(node, weight=float(self.node_weight[i]))
-        adjacency = graph._adjacency
-        nodes = self.nodes
-        indptr = self.indptr
-        indices = self.indices
-        edge_weight = self.edge_weight
-        for i, node in enumerate(nodes):
-            row = adjacency[node]
-            for k in range(int(indptr[i]), int(indptr[i + 1])):
-                row[nodes[indices[k]]] = float(edge_weight[k])
-        return graph
 
 
 def as_csr(

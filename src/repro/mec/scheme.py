@@ -10,6 +10,7 @@ candidate placement costs O(parts^2) arithmetic rather than graph scans.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 
@@ -73,7 +74,9 @@ class PartitionedApplication:
         self.parts: list[SchemePart] = []
         membership: dict[str, int] = {}
         for index, functions in enumerate(cleaned):
-            computation = sum(graph.node_weight(f) for f in functions)
+            # fsum is exact, so the total does not depend on the set's
+            # iteration order (which follows the interpreter's hash seed).
+            computation = math.fsum(graph.node_weight(f) for f in functions)
             anchor = call_graph.local_anchor_traffic(functions)
             self.parts.append(
                 SchemePart(

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.callgraph.model import FunctionCallGraph
 from repro.core.planner import OffloadingPlanner
 from repro.core.results import UserPlan
 from repro.graphs.validation import check_graph_invariants
 from repro.service.batching import Flight, PlanRequest, QueueFullError, RequestQueue
-from repro.service.executor import EXECUTOR_MODES, PlanningBackend
 from repro.service.fingerprint import request_fingerprint
 from repro.service.metrics import MetricsRegistry
 from repro.service.plan_cache import PlanCache
@@ -42,16 +41,10 @@ class ServiceConfig:
     """Knobs of the serving layer (planning knobs live in PlannerConfig)."""
 
     workers: int = 2
-    """Worker threads draining the queue.  With the default ``thread``
-    executor planning runs inline on these threads (pure Python, so the
-    GIL caps speed-up; the pool's job is isolation and batching); with
-    ``executor="process"`` they dispatch planning to the process pool."""
-
-    executor: str = "thread"
-    """Where planning runs: ``"thread"`` (inline on the worker thread)
-    or ``"process"`` (a multiprocessing pool of ``workers`` processes,
-    so throughput scales with cores).  Plans are identical either way —
-    planning is deterministic."""
+    """Worker threads draining the queue; each plans its flights inline.
+    Planning is pure Python, so the GIL caps the speed-up: the threads
+    buy isolation (a slow plan does not stall other flights), not
+    parallelism."""
 
     max_queue_depth: int = 128
     """Bound on unresolved *distinct* flights; beyond it, load-shed."""
@@ -81,10 +74,6 @@ class ServiceConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.executor not in EXECUTOR_MODES:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; expected one of {EXECUTOR_MODES}"
-            )
 
 
 @dataclass(frozen=True)
@@ -200,12 +189,6 @@ class PlanService:
             capacity=self.config.cache_capacity, spill_path=self.config.spill_path
         )
         self.queue = RequestQueue(max_depth=self.config.max_queue_depth)
-        self.backend = PlanningBackend(
-            executor=self.config.executor,
-            strategy_name=planner.strategy_name,
-            config=planner.config,
-            processes=self.config.workers,
-        )
         self._threads: list[threading.Thread] = []
         self._started = False
         self._closed = False
@@ -223,10 +206,6 @@ class PlanService:
             loaded = self.cache.load()
             if loaded:
                 self.metrics.counter("cache_entries_loaded").inc(loaded)
-        # The process pool (if any) must fork before the worker threads
-        # start: forking a multi-threaded process risks inheriting locks
-        # in undefined states.
-        self.backend.start()
         for index in range(self.config.workers):
             thread = threading.Thread(
                 target=self._worker_loop, name=f"plan-worker-{index}", daemon=True
@@ -245,7 +224,6 @@ class PlanService:
         self.queue.close()
         for thread in self._threads:
             thread.join(timeout=5.0)
-        self.backend.close()
         if self.config.spill_path is not None:
             self.cache.save()
 
@@ -307,11 +285,8 @@ class PlanService:
                     return
                 continue
             self.metrics.histogram("batch_size").observe(len(batch))
-            if self.backend.pooled and len(batch) > 1:
-                self._serve_batch(batch)
-            else:
-                for flight in batch:
-                    self._serve_flight(flight)
+            for flight in batch:
+                self._serve_flight(flight)
             self.metrics.gauge("queue_depth").set(self.queue.depth)
 
     def _serve_flight(self, flight: Flight) -> None:
@@ -323,54 +298,6 @@ class PlanService:
         if plan is None:
             plan, error = self._plan_guarded(flight.requests[0].graph)
         self._finish_flight(flight, plan, error, cached, started)
-
-    def _serve_batch(self, batch: list[Flight]) -> None:
-        """Plan a drained batch through the pooled backend in one pipeline.
-
-        Cache hits and invalid graphs settle immediately; the remaining
-        cold flights ship as a single sequence-numbered batch, so one
-        IPC pipeline carries the whole drain instead of one round-trip
-        per flight.  A per-graph batch failure falls back to the guarded
-        single-plan path, which owns the retry budget (the batch attempt
-        counts as the first try).  Thread-mode never reaches here: a
-        batch barrier would delay early flights for no throughput gain.
-        """
-        started = time.perf_counter()
-        cold: list[Flight] = []
-        for flight in batch:
-            plan = self.cache.get(flight.key)
-            if plan is not None:
-                self._finish_flight(flight, plan, None, True, started)
-                continue
-            invalid = self._validate(flight.requests[0].graph)
-            if invalid is not None:
-                self._finish_flight(flight, None, invalid, False, started)
-                continue
-            cold.append(flight)
-        if not cold:
-            return
-        if len(cold) == 1:
-            flight = cold[0]
-            plan, error = self._plan_guarded(flight.requests[0].graph, validated=True)
-            self._finish_flight(flight, plan, error, False, started)
-            return
-        graphs = [flight.requests[0].graph for flight in cold]
-        with self._invocation_lock:
-            self._invocations += len(graphs)
-        settled = self.backend.plan_many_settled(self.planner, graphs)
-        for flight, (plan, exc) in zip(cold, settled):
-            error = None
-            if plan is None:
-                if self.config.retries > 0:
-                    self.metrics.counter("planner_retries").inc()
-                    plan, error = self._plan_guarded(
-                        flight.requests[0].graph, validated=True, attempts_used=1
-                    )
-                else:
-                    error = ServiceError(
-                        "internal", f"{type(exc).__name__}: {exc}" if exc else "planner failed"
-                    )
-            self._finish_flight(flight, plan, error, False, started)
 
     def _finish_flight(
         self,
@@ -413,22 +340,18 @@ class PlanService:
         return None
 
     def _plan_guarded(
-        self,
-        graph: FunctionCallGraph,
-        validated: bool = False,
-        attempts_used: int = 0,
+        self, graph: FunctionCallGraph
     ) -> tuple[UserPlan | None, ServiceError | None]:
-        if not validated:
-            invalid = self._validate(graph)
-            if invalid is not None:
-                return None, invalid
-        attempts = max(1, 1 + self.config.retries - attempts_used)
+        invalid = self._validate(graph)
+        if invalid is not None:
+            return None, invalid
+        attempts = 1 + self.config.retries
         last_error = "planner failed"
         for attempt in range(attempts):
             try:
                 with self._invocation_lock:
                     self._invocations += 1
-                return self.backend.plan(self.planner, graph), None
+                return self.planner.plan_user(graph), None
             except Exception as exc:  # noqa: BLE001 - worker must not die
                 last_error = f"{type(exc).__name__}: {exc}"
                 if attempt + 1 < attempts:

@@ -293,82 +293,6 @@ class TestPoolSafetyRules:
         assert findings == []
 
 
-class TestSharedMemoryLifecycleRule:
-    def test_create_without_unlink_flagged(self):
-        findings = _scan(
-            """
-            from multiprocessing import shared_memory
-
-            def publish(blob):
-                segment = shared_memory.SharedMemory(create=True, size=len(blob))
-                segment.buf[: len(blob)] = blob
-                segment.close()
-                return segment.name
-            """,
-            module_name="repro.service.fixture",
-        )
-        shm = [f for f in findings if f.rule_id == "poolsafety/shm-unlink"]
-        assert len(shm) == 1
-        assert "unlink()" in shm[0].message
-
-    def test_create_with_close_and_unlink_passes(self):
-        findings = _scan(
-            """
-            from multiprocessing import shared_memory
-
-            def publish_and_drop(blob):
-                segment = shared_memory.SharedMemory(create=True, size=len(blob))
-                segment.buf[: len(blob)] = blob
-                segment.close()
-                segment.unlink()
-            """,
-            module_name="repro.service.fixture",
-        )
-        assert [f for f in findings if f.rule_id == "poolsafety/shm-unlink"] == []
-
-    def test_attach_without_close_flagged(self):
-        findings = _scan(
-            """
-            from multiprocessing import shared_memory
-
-            def read(name, size):
-                segment = shared_memory.SharedMemory(name=name)
-                return bytes(segment.buf[:size])
-            """,
-            module_name="repro.service.fixture",
-        )
-        shm = [f for f in findings if f.rule_id == "poolsafety/shm-unlink"]
-        assert len(shm) == 1
-        assert "attach" in shm[0].message
-
-    def test_attach_with_close_passes(self):
-        # Attachers must close but never unlink — the owner does that.
-        findings = _scan(
-            """
-            from multiprocessing import shared_memory
-
-            def read(name, size):
-                segment = shared_memory.SharedMemory(name=name)
-                try:
-                    return bytes(segment.buf[:size])
-                finally:
-                    segment.close()
-            """,
-            module_name="repro.service.fixture",
-        )
-        assert [f for f in findings if f.rule_id == "poolsafety/shm-unlink"] == []
-
-    def test_modules_without_shared_memory_import_skipped(self):
-        findings = _scan(
-            """
-            def publish(store, blob):
-                return store.SharedMemory(create=True, size=len(blob))
-            """,
-            module_name="repro.service.fixture",
-        )
-        assert [f for f in findings if f.rule_id == "poolsafety/shm-unlink"] == []
-
-
 class TestExceptionRules:
     def test_bare_except_always_flagged(self):
         findings = _scan(

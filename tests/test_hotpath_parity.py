@@ -7,14 +7,19 @@ histories, plan digests — to values recorded when alternate kernels
 still existed and were asserted to agree with these paths, so any
 behavioural drift shows up as a golden mismatch.  The remaining parity
 tests pin the array-graph fast paths (CSR Laplacians, the O(1) greedy
-move evaluator) and the process planning backend to their reference
-semantics.
+move evaluator) to their reference semantics, and batch fleet admission
+to a loop of single admissions.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,12 +45,7 @@ from repro.mec.greedy import PlacementEvaluator, generate_offloading_scheme
 from repro.mec.objective import ObjectiveWeights
 from repro.mec.scheme import PartitionedApplication
 from repro.mec.system import MECSystem, UserContext
-from repro.service import (
-    PlanningBackend,
-    PlanService,
-    ServiceConfig,
-    plan_digest,
-)
+from repro.service import plan_digest
 from repro.spectral.fiedler import FiedlerSolver
 from repro.workloads.multiuser import build_mec_system
 from repro.workloads.profiles import quick_profile
@@ -373,9 +373,11 @@ def _plan_system_outcome(n_users: int, graph_size: int, channel=None):
 
 def _assert_plans_match(result, golden) -> None:
     # Digests, moves and placements are exact.  The summed objective is
-    # only pinned to 1e-12: per-user aggregates are summed over string
-    # sets, whose iteration order (and so the last float bit) follows
-    # the interpreter's hash seed.
+    # only pinned to 1e-12: the goldens were recorded when per-user
+    # aggregates were summed in string-set order, which follows the
+    # interpreter's hash seed, so their last bits are one seed's.  The
+    # sums are now exact (math.fsum) and seed-independent, which
+    # test_summed_objective_independent_of_hash_seed pins bit for bit.
     assert {user: plan_digest(plan) for user, plan in result.user_plans.items()} == golden["digests"]
     assert result.greedy.moves == golden["moves"]
     assert result.greedy.history == pytest.approx(golden["history"], rel=1e-12)
@@ -412,45 +414,59 @@ class TestGreedyGolden:
         assert result.greedy.contention_rounds == GOLDEN_CHANNEL_PLANS["rounds"]
         assert result.greedy.effective_rates == GOLDEN_CHANNEL_PLANS["rates"]
 
+    def test_summed_objective_independent_of_hash_seed(self):
+        root = Path(__file__).resolve().parents[1]
+        pythonpath = os.pathsep.join([str(root / "src"), str(root)])
+        outcomes = []
+        for seed in ("0", "5"):
+            completed = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_PROBE],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": pythonpath},
+                cwd=root,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=300,
+            )
+            outcomes.append(json.loads(completed.stdout.splitlines()[-1]))
+        assert outcomes[0] == outcomes[1]
+
+
+# Plans the shared-channel golden system and prints its summed E, T and
+# greedy history as float.hex, so two interpreters compare bit for bit.
+_HASH_SEED_PROBE = """
+import json
+from repro.mec.channel import SharedChannel
+from tests.test_hotpath_parity import _plan_system_outcome
+result = _plan_system_outcome(8, 60, channel=SharedChannel(capacity=168.0))
+print(json.dumps({
+    "energy": result.consumption.energy.hex(),
+    "time": result.consumption.time.hex(),
+    "history": [value.hex() for value in result.greedy.history],
+}))
+"""
+
 
 # ----------------------------------------------------------------------
-# Service and fleet: process backend vs thread/sequential baselines
+# Fleet: batch admission vs sequential admits
 # ----------------------------------------------------------------------
-class TestExecutorParity:
-    def test_plan_service_digests_identical_across_executors(self):
-        graphs = [_random_call_graph(seed, app_name=f"app{seed}") for seed in range(6)]
-        digests: dict[str, list[str]] = {}
-        for executor in ("thread", "process"):
-            config = ServiceConfig(workers=2, executor=executor)
-            with PlanService(make_planner("spectral"), config) as service:
-                responses = [service.plan(graph) for graph in graphs]
-            assert all(response.ok for response in responses)
-            digests[executor] = [plan_digest(response.plan) for response in responses]
-        assert digests["thread"] == digests["process"]
-
-    def test_admit_many_with_process_backend_matches_sequential_admits(self):
+class TestBatchAdmissionParity:
+    def test_admit_many_matches_sequential_admits(self):
         graphs = [_random_call_graph(seed, app_name=f"app{seed}") for seed in range(4)]
         arrivals = [(MobileDevice(f"u{i}"), graphs[i % len(graphs)]) for i in range(12)]
 
-        def build_fleet(backend=None) -> EdgeFleet:
+        def build_fleet() -> EdgeFleet:
             return EdgeFleet(
                 3,
                 100.0,
                 strategy="spectral",
                 routing=make_routing_policy("round-robin", seed=0),
-                backend=backend,
             )
 
         sequential_fleet = build_fleet()
         sequential = [sequential_fleet.admit(device, graph) for device, graph in arrivals]
-
-        backend = PlanningBackend(executor="process", strategy_name="spectral")
-        try:
-            backend.start()
-            batch_fleet = build_fleet(backend=backend)
-            batched = batch_fleet.admit_many(arrivals)
-        finally:
-            backend.close()
+        batch_fleet = build_fleet()
+        batched = batch_fleet.admit_many(arrivals)
 
         outcome = lambda a: (a.user_id, a.server_id, a.cache_hit, a.degraded)
         assert [outcome(a) for a in sequential] == [outcome(a) for a in batched]
