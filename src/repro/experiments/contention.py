@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 from repro.core.baselines import make_planner
 from repro.mec.channel import SharedChannel, make_quality_profile
+from repro.mec.energy import transmission_energy, transmission_time
 from repro.mec.game import best_response_equilibrium
 from repro.mec.scheme import PartitionedApplication
 from repro.mec.system import MECSystem
@@ -122,8 +123,8 @@ def contention_curve(
             ContentionCurvePoint(
                 n_users=n,
                 effective_rate=rate,
-                transmission_energy=cut * device.power_transmit / rate,
-                transmission_time=cut / rate,
+                transmission_energy=transmission_energy(cut, device.power_transmit, rate),
+                transmission_time=transmission_time(cut, rate),
             )
         )
     return points

@@ -28,21 +28,21 @@ moves are never free.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING
 
 from repro.callgraph.model import FunctionCallGraph
 from repro.fleet.latency import LatencyMap, ZeroLatency
 from repro.fleet.migration import MigrationCost, MigrationCostModel
-from repro.fleet.modelled import hypothetical_consumption, modelled_user_cost
+from repro.fleet.modelled import charge_link_rtt, hypothetical_consumption, modelled_user_cost
 from repro.fleet.routing import RoutingPolicy, RoundRobinRouting, ServerLoad
 from repro.forecast.proactive import DEFAULT_UTILISATION_THRESHOLD, FleetTelemetry
 from repro.forecast.sla import SLAReport, UserSLA
 from repro.mec.admission import AllocationPolicy
 from repro.mec.channel import SharedChannel
 from repro.mec.devices import EdgeServer, MobileDevice
-from repro.mec.energy import ConsumptionBreakdown, local_compute_time, local_energy
+from repro.mec.energy import ConsumptionBreakdown, price_user
 from repro.mec.online import AdmissionRecord, OnlinePlanner
 from repro.mec.scheme import PartitionedApplication
 from repro.mec.system import SystemConsumption
@@ -60,18 +60,12 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 def all_local_breakdown(device: MobileDevice, graph: FunctionCallGraph) -> ConsumptionBreakdown:
     """Degraded-mode consumption: the whole application runs on-device.
 
-    This is the paper's no-offloading baseline — formulas (1) and (3)
-    with every function local — and the fleet's fallback when no server
-    has capacity left.  Always finite: no transmission, no waiting.
+    This is the paper's no-offloading baseline — :func:`price_user` with
+    every function local — and the fleet's fallback when no server has
+    capacity left.  Always finite: no transmission, no waiting.
     """
-    t_c = local_compute_time(graph.total_computation(), device.compute_capacity)
-    return ConsumptionBreakdown(
-        local_energy=local_energy(t_c, device.power_compute),
-        transmission_energy=0.0,
-        local_time=t_c,
-        remote_time=0.0,
-        transmission_time=0.0,
-        waiting_time=0.0,
+    return price_user(
+        device, graph.total_computation(), 0.0, 0.0, device.bandwidth, 0.0, 0.0
     )
 
 
@@ -643,24 +637,17 @@ class EdgeFleet:
         User ids are fleet-unique, so merging per-user breakdowns is
         exact; degraded users contribute their all-local consumption.
         Two fleet-layer charges fold into the same ledger: offloading
-        users carry the RTT of the link to their server (added to the
-        waiting term and, per the formula-(2) invariant, to the
-        waiting-inclusive remote time), and migrated users carry their
-        accumulated migration debt in transmission/waiting terms.
+        users carry the RTT of the link to their server
+        (:func:`~repro.fleet.modelled.charge_link_rtt`), and migrated
+        users carry their accumulated migration debt in
+        transmission/waiting terms.
         """
         combined = SystemConsumption()
         for server_id, server in self.servers.items():
             for user_id, breakdown in server.current_consumption().per_user.items():
-                rtt = self.latency.rtt(user_id, server_id)
-                if rtt > 0 and (
-                    breakdown.remote_time > 0 or breakdown.transmission_time > 0
-                ):
-                    breakdown = replace(
-                        breakdown,
-                        remote_time=breakdown.remote_time + rtt,
-                        waiting_time=breakdown.waiting_time + rtt,
-                    )
-                combined.per_user[user_id] = breakdown
+                combined.per_user[user_id] = charge_link_rtt(
+                    breakdown, self.latency.rtt(user_id, server_id)
+                )
         for user_id, degraded in self._degraded.items():
             combined.per_user[user_id] = degraded.breakdown
         for user_id, debt in self._migration_debt.items():

@@ -122,15 +122,9 @@ class MigrationCostModel:
         if data_units < 0:
             raise ValueError(f"data_units must be >= 0, got {data_units}")
         data = data_units * self.data_scale
-        if data > 0:
-            t_t = transmission_time(data, device.bandwidth)
-            e_t = transmission_energy(data, device.power_transmit, device.bandwidth)
-        else:
-            t_t = 0.0
-            e_t = 0.0
         return MigrationCost(
             data_units=data,
-            transmission_time=t_t,
-            transmission_energy=e_t,
+            transmission_time=transmission_time(data, device.bandwidth),
+            transmission_energy=transmission_energy(data, device.power_transmit, device.bandwidth),
             handoff_latency=self.handoff_latency,
         )

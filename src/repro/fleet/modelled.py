@@ -19,10 +19,12 @@ the user would receive, not an approximation of it.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.callgraph.model import FunctionCallGraph
 from repro.mec.devices import MobileDevice
+from repro.mec.energy import ConsumptionBreakdown
 from repro.mec.greedy import generate_offloading_scheme
 from repro.mec.scheme import PartitionedApplication
 from repro.mec.system import MECSystem, SystemConsumption, UserContext
@@ -37,6 +39,18 @@ HypotheticalUser = tuple[
 ]
 """A user lifted out of (or held up to) a server: device, graph,
 partitioned app, and remote part ids."""
+
+
+def charge_link_rtt(breakdown: ConsumptionBreakdown, rtt: float) -> ConsumptionBreakdown:
+    """*breakdown* with the link *rtt* added to its waiting and (per
+    formula (2)) remote time, iff the user offloads."""
+    if rtt > 0 and (breakdown.remote_time > 0 or breakdown.transmission_time > 0):
+        return replace(
+            breakdown,
+            remote_time=breakdown.remote_time + rtt,
+            waiting_time=breakdown.waiting_time + rtt,
+        )
+    return breakdown
 
 
 def hypothetical_consumption(
@@ -138,18 +152,15 @@ def modelled_user_cost(
     Places the newcomer hypothetically (:func:`hypothetical_remote_parts`),
     evaluates the resulting deployment through
     :func:`hypothetical_consumption`, and returns the newcomer's own
-    per-user ``E + T`` with the link *rtt* folded into the time term iff
-    the placement offloads — mirroring how
-    :meth:`~repro.fleet.fleet.EdgeFleet.total_consumption` charges RTT,
-    so the admission check and the violation report speak one unit.
+    per-user ``E + T`` with the link *rtt* charged by
+    :func:`charge_link_rtt` — the same charge
+    :meth:`~repro.fleet.fleet.EdgeFleet.total_consumption` applies, so the
+    admission check and the violation report speak one unit.
     """
     app = PartitionedApplication(device.device_id, graph, plan.parts)
     remote = hypothetical_remote_parts(server, device, graph, plan)
     consumption = hypothetical_consumption(
         server, extra=(device, graph, app, remote)
     )
-    breakdown = consumption.per_user[device.device_id]
-    time = breakdown.time
-    if rtt > 0 and (breakdown.remote_time > 0 or breakdown.transmission_time > 0):
-        time += rtt
-    return weights.combine(breakdown.energy, time)
+    breakdown = charge_link_rtt(consumption.per_user[device.device_id], rtt)
+    return weights.combine(breakdown.energy, breakdown.time)

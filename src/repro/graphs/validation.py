@@ -1,4 +1,5 @@
-"""Structural invariant checks used by tests and the workload generators."""
+"""Structural invariant checks used by request validation, tests and the
+workload generators."""
 
 from __future__ import annotations
 
@@ -6,22 +7,25 @@ from repro.graphs.weighted_graph import WeightedGraph
 
 
 def check_graph_invariants(graph: WeightedGraph) -> None:
-    """Raise ``AssertionError`` if *graph* violates a structural invariant.
+    """Raise ``ValueError`` if *graph* violates a structural invariant.
 
     Checks symmetry of the adjacency, absence of self-loops, strictly
-    positive edge weights and non-negative node weights.  Intended for
-    test suites and generator post-conditions, hence assertions rather
-    than ``ValueError``.
+    positive edge weights and non-negative node weights.  It raises
+    rather than asserts because request validation relies on it, and
+    ``python -O`` strips assertions.
     """
     for node in graph.nodes():
-        assert graph.node_weight(node) >= 0, f"negative node weight at {node!r}"
+        if not graph.node_weight(node) >= 0:
+            raise ValueError(f"negative node weight at {node!r}")
         for neighbor, weight in graph.neighbor_items(node):
-            assert neighbor != node, f"self-loop at {node!r}"
-            assert weight > 0, f"non-positive edge weight on ({node!r}, {neighbor!r})"
-            assert graph.has_edge(neighbor, node), (
-                f"asymmetric adjacency: ({node!r}, {neighbor!r}) present, "
-                f"({neighbor!r}, {node!r}) missing"
-            )
-            assert graph.edge_weight(neighbor, node) == weight, (
-                f"asymmetric weight on ({node!r}, {neighbor!r})"
-            )
+            if neighbor == node:
+                raise ValueError(f"self-loop at {node!r}")
+            if not weight > 0:
+                raise ValueError(f"non-positive edge weight on ({node!r}, {neighbor!r})")
+            if not graph.has_edge(neighbor, node):
+                raise ValueError(
+                    f"asymmetric adjacency: ({node!r}, {neighbor!r}) present, "
+                    f"({neighbor!r}, {node!r}) missing"
+                )
+            if graph.edge_weight(neighbor, node) != weight:
+                raise ValueError(f"asymmetric weight on ({node!r}, {neighbor!r})")

@@ -1,8 +1,9 @@
 """The core weighted undirected graph data structure.
 
-Nodes carry a non-negative *computation weight* and arbitrary metadata;
-edges carry a positive *communication weight*.  This mirrors the function
-data flow graph of Section II of the paper: ``w_j^i`` is the node weight and
+Nodes carry a finite non-negative *computation weight* and arbitrary
+metadata; edges carry a finite positive *communication weight* (``NaN``
+and infinities are rejected).  This mirrors the function data flow graph
+of Section II of the paper: ``w_j^i`` is the node weight and
 ``s(v_j^i, v_l^i)`` is the edge weight.
 
 The structure is a plain adjacency map (dict-of-dict) which keeps neighbor
@@ -17,6 +18,8 @@ from collections.abc import Hashable, Iterable, Iterator, Mapping
 from typing import Any
 
 NodeId = Hashable
+
+_INF = float("inf")
 
 
 class WeightedGraph:
@@ -77,8 +80,8 @@ class WeightedGraph:
         """
         if node in self._adjacency:
             raise ValueError(f"node {node!r} already exists")
-        if weight < 0:
-            raise ValueError(f"node weight must be >= 0, got {weight!r}")
+        if not 0 <= weight < _INF:
+            raise ValueError(f"node weight must be finite and >= 0, got {weight!r}")
         self._node_weights[node] = float(weight)
         self._node_data[node] = dict(data)
         self._adjacency[node] = {}
@@ -112,8 +115,8 @@ class WeightedGraph:
     def set_node_weight(self, node: NodeId, weight: float) -> None:
         """Replace the computation weight of *node*."""
         self._require_node(node)
-        if weight < 0:
-            raise ValueError(f"node weight must be >= 0, got {weight!r}")
+        if not 0 <= weight < _INF:
+            raise ValueError(f"node weight must be finite and >= 0, got {weight!r}")
         self._node_weights[node] = float(weight)
 
     def node_data(self, node: NodeId) -> dict[str, Any]:
@@ -136,8 +139,8 @@ class WeightedGraph:
         self._require_node(v)
         if u == v:
             raise ValueError(f"self-loop on {u!r} is not allowed")
-        if weight <= 0:
-            raise ValueError(f"edge weight must be > 0, got {weight!r}")
+        if not 0 < weight < _INF:
+            raise ValueError(f"edge weight must be finite and > 0, got {weight!r}")
         new_weight = self._adjacency[u].get(v, 0.0) + float(weight)
         self._adjacency[u][v] = new_weight
         self._adjacency[v][u] = new_weight
@@ -146,8 +149,8 @@ class WeightedGraph:
         """Overwrite (rather than accumulate) the weight of edge (u, v)."""
         if not self.has_edge(u, v):
             raise KeyError(f"edge ({u!r}, {v!r}) does not exist")
-        if weight <= 0:
-            raise ValueError(f"edge weight must be > 0, got {weight!r}")
+        if not 0 < weight < _INF:
+            raise ValueError(f"edge weight must be finite and > 0, got {weight!r}")
         self._adjacency[u][v] = float(weight)
         self._adjacency[v][u] = float(weight)
 

@@ -24,11 +24,7 @@ from dataclasses import dataclass
 from collections.abc import Mapping
 
 from repro.mec.devices import EdgeServer
-
-MIN_REMOTE_LOAD = 1e-12
-"""Loads below this are treated as idle: computation weights are O(1)+
-in every workload, and double-precision shares of smaller loads can
-underflow to zero capacity, which downstream time formulas reject."""
+from repro.mec.energy import MIN_REMOTE_LOAD
 
 
 @dataclass(frozen=True)
@@ -57,8 +53,10 @@ class AllocationPolicy(abc.ABC):
         """Return the allocation for the given per-user remote workloads.
 
         *remote_loads* maps user id to the total computation weight that
-        user offloads; users with zero load receive no capacity and no
-        waiting time.
+        user offloads; users at or below
+        :data:`~repro.mec.energy.MIN_REMOTE_LOAD` are idle and receive no
+        capacity and no waiting time.  A load above that floor must get
+        capacity ``> 0``: formula (2) rejects a zero grant.
         """
 
 

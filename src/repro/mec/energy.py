@@ -1,15 +1,23 @@
 """Energy and time models — formulas (1) through (5) of the paper.
 
-All functions are pure and unit-consistent; :class:`ConsumptionBreakdown`
-bundles one user's complete consumption so the system model and the greedy
-generator can aggregate and compare placements cheaply.
+The only code that prices a user: :func:`price_user` composes (1)-(5)
+into a :class:`ConsumptionBreakdown`, and :func:`device_terms` is its
+scalar device side for the greedy's per-move path.  Formula (2) decides
+both edge cases: a remote load ``<= MIN_REMOTE_LOAD`` is idle (no server
+time, no waiting), and one above it granted capacity ``<= 0`` raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.mec.devices import MobileDevice
 from repro.utils.validation import ensure_non_negative, ensure_positive
+
+MIN_REMOTE_LOAD = 1e-12
+"""Remote loads at or below this are idle: computation weights are O(1)+
+in every workload, and double-precision shares of smaller loads can
+underflow to zero capacity, which formula (2) would reject."""
 
 
 def local_compute_time(local_weight: float, capacity: float) -> float:
@@ -22,13 +30,13 @@ def local_compute_time(local_weight: float, capacity: float) -> float:
 def remote_compute_time(remote_weight: float, allocated_capacity: float, waiting: float) -> float:
     """Formula (2): ``t_s = sum(w_j, v_j in V_s) / I_s + wt``.
 
-    A user with nothing offloaded spends no server time regardless of
-    allocation, so zero remote weight short-circuits to ``0.0`` (and a
-    zero allocation is then legal).
+    An idle user (remote weight ``<= MIN_REMOTE_LOAD``) spends no server
+    time and no waiting regardless of allocation, so a zero allocation is
+    then legal; above the floor it raises ``ValueError``.
     """
     ensure_non_negative(remote_weight, "remote_weight")
     ensure_non_negative(waiting, "waiting")
-    if remote_weight == 0.0:
+    if remote_weight <= MIN_REMOTE_LOAD:
         return 0.0
     ensure_positive(allocated_capacity, "allocated_capacity")
     return remote_weight / allocated_capacity + waiting
@@ -87,11 +95,6 @@ class ConsumptionBreakdown:
         """Scalarised objective contribution (Algorithm 2's ``E + T``)."""
         return energy_weight * self.energy + time_weight * self.time
 
-    @staticmethod
-    def zero() -> "ConsumptionBreakdown":
-        """An all-zero breakdown (useful as an accumulator seed)."""
-        return ConsumptionBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
     def __add__(self, other: "ConsumptionBreakdown") -> "ConsumptionBreakdown":
         return ConsumptionBreakdown(
             self.local_energy + other.local_energy,
@@ -101,3 +104,38 @@ class ConsumptionBreakdown:
             self.transmission_time + other.transmission_time,
             self.waiting_time + other.waiting_time,
         )
+
+
+def device_terms(
+    device: MobileDevice, local_weight: float, cut: float, rate: float
+) -> tuple[float, float, float, float]:
+    """Formulas (1), (3), (5), (4) as floats ``(t_c, e_c, t_t, e_t)``."""
+    t_c = local_compute_time(local_weight, device.compute_capacity)
+    return (
+        t_c,
+        local_energy(t_c, device.power_compute),
+        transmission_time(cut, rate),
+        transmission_energy(cut, device.power_transmit, rate),
+    )
+
+
+def price_user(
+    device: MobileDevice,
+    local_weight: float,
+    remote_weight: float,
+    cut: float,
+    rate: float,
+    capacity: float,
+    waiting: float,
+) -> ConsumptionBreakdown:
+    """One user's consumption from formulas (1)-(5); *capacity* and
+    *waiting* are the allocation's ``I_s`` and ``wt`` for this user."""
+    t_c, e_c, t_t, e_t = device_terms(device, local_weight, cut, rate)
+    return ConsumptionBreakdown(
+        local_energy=e_c,
+        transmission_energy=e_t,
+        local_time=t_c,
+        remote_time=remote_compute_time(remote_weight, capacity, waiting),
+        transmission_time=t_t,
+        waiting_time=waiting if remote_weight > MIN_REMOTE_LOAD else 0.0,
+    )

@@ -24,6 +24,11 @@ and a lazy-greedy priority queue (re-validate the top candidate, accept
 if still best) avoids rescanning all parts per move.  ``exhaustive=True``
 forces the textbook full scan; tests assert both give the same scheme on
 small systems.
+
+The evaluator holds no formula of its own: it prices through
+:mod:`repro.mec.energy`'s scalar helpers, the same ones
+:func:`~repro.mec.energy.price_user` composes for
+:meth:`MECSystem.evaluate_placement`, idle floor included.
 """
 
 from __future__ import annotations
@@ -34,8 +39,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from repro.mec.admission import MIN_REMOTE_LOAD
-from repro.mec.energy import transmission_energy, transmission_time
+from repro.mec.energy import device_terms, remote_compute_time
 from repro.mec.objective import ObjectiveWeights
 from repro.mec.scheme import OffloadingScheme, PartitionedApplication
 from repro.mec.system import MECSystem, SystemConsumption
@@ -223,33 +227,21 @@ class PlacementEvaluator:
     # Totals
     # ------------------------------------------------------------------
     def _device_terms(self, user_id: str, local_w: float, cut: float) -> tuple[float, float]:
-        """(energy, device-side time) for one user's local work and cut.
-
-        The transmission terms go through the shared formula-(4)/(5)
-        helpers — the single source of truth also used by
-        :meth:`MECSystem._evaluate_user` — at the user's effective rate,
-        so the greedy and the system evaluation cannot drift.
-        """
+        """(energy, device-side time) for one user's local work and cut,
+        at the user's effective rate."""
         device = self.system.user(user_id).device
-        rate = self.rates.get(user_id, device.bandwidth)
-        t_c = local_w / device.compute_capacity
-        e_c = t_c * device.power_compute
-        e_t = transmission_energy(cut, device.power_transmit, rate)
-        t_t = transmission_time(cut, rate)
+        t_c, e_c, t_t, e_t = device_terms(
+            device, local_w, cut, self.rates.get(user_id, device.bandwidth)
+        )
         return e_c + e_t, t_c + t_t
 
     def _server_time_total(self, loads: Mapping[str, float]) -> float:
         """Sum over users of formula (2)'s remote time, incl. waiting."""
         allocation = self.system.allocation.allocate(self.system.server, loads)
-        total = 0.0
-        for user_id, load in loads.items():
-            if load <= MIN_REMOTE_LOAD:
-                # Matches the allocation policies' idle floor: subtraction
-                # residue from incremental updates must not count as load.
-                continue
-            capacity = allocation.capacity_for(user_id)
-            total += load / capacity + allocation.waiting_for(user_id)
-        return total
+        return sum(
+            remote_compute_time(load, allocation.capacity_for(uid), allocation.waiting_for(uid))
+            for uid, load in loads.items()
+        )
 
     def combined(self) -> float:
         """Scalarised objective of the current placement (cached)."""
@@ -283,12 +275,12 @@ class PlacementEvaluator:
             + 2.0 * self._w_remote[user_id][part_id]
             - self._w_total[user_id][part_id]
         )
-        # Exact arithmetic keeps the cut non-negative; incremental float
-        # updates can leave a ~1e-16 residue that the (validating)
-        # shared transmission helpers would reject.  Clamp here.
+        # Exact arithmetic keeps the remote load and the cut non-negative;
+        # incremental float updates can leave a ~1e-16 residue that the
+        # (validating) formula helpers would reject.  Clamp here.
         return (
             self._local_w[user_id] + computation,
-            self._remote_w[user_id] - computation,
+            max(self._remote_w[user_id] - computation, 0.0),
             max(self._cut[user_id] + delta_cut, 0.0),
         )
 

@@ -2,8 +2,9 @@
 
 ``MECSystem`` binds users (device + application) to the shared edge
 server and evaluates any placement — a mapping from user to the set of
-parts placed remotely — into the paper's ``E`` and ``T`` totals through
-formulas (1)-(5) and the server allocation policy.
+parts placed remotely — into the paper's ``E`` and ``T`` totals: the
+allocation policy grants each user server capacity and waiting, and
+:func:`~repro.mec.energy.price_user` prices every user from formulas (1)-(5).
 """
 
 from __future__ import annotations
@@ -15,14 +16,7 @@ from repro.callgraph.model import FunctionCallGraph
 from repro.mec.admission import AllocationPolicy, FCFSQueueAllocation
 from repro.mec.channel import SharedChannel
 from repro.mec.devices import EdgeServer, MobileDevice
-from repro.mec.energy import (
-    ConsumptionBreakdown,
-    local_compute_time,
-    local_energy,
-    remote_compute_time,
-    transmission_energy,
-    transmission_time,
-)
+from repro.mec.energy import ConsumptionBreakdown, price_user
 from repro.mec.objective import ObjectiveWeights
 from repro.mec.scheme import OffloadingScheme, PartitionedApplication
 
@@ -146,10 +140,14 @@ class MECSystem:
             if app is None:
                 continue
             parts_remote = remote_parts.get(user.user_id, set())
-            consumption.per_user[user.user_id] = self._evaluate_user(
-                user, app, parts_remote, allocation.capacity_for(user.user_id),
+            consumption.per_user[user.user_id] = price_user(
+                user.device,
+                app.local_weight(parts_remote),
+                remote_loads[user.user_id],
+                app.cut_weight(parts_remote),
+                rates.get(user.user_id, user.device.bandwidth),
+                allocation.capacity_for(user.user_id),
                 allocation.waiting_for(user.user_id),
-                bandwidth=rates.get(user.user_id),
             )
         consumption.effective_bandwidth = rates
         return consumption
@@ -196,33 +194,3 @@ class MECSystem:
             }
             remote_parts[user_id] = parts
         return self.evaluate_placement(apps, remote_parts)
-
-    def _evaluate_user(
-        self,
-        user: UserContext,
-        app: PartitionedApplication,
-        parts_remote: set[int],
-        allocated_capacity: float,
-        waiting: float,
-        bandwidth: float | None = None,
-    ) -> ConsumptionBreakdown:
-        device = user.device
-        rate = device.bandwidth if bandwidth is None else bandwidth
-        local_weight = app.local_weight(parts_remote)
-        remote_weight = app.remote_weight(parts_remote)
-        cut = app.cut_weight(parts_remote)
-
-        t_c = local_compute_time(local_weight, device.compute_capacity)
-        t_s = remote_compute_time(remote_weight, allocated_capacity or 1.0, waiting)
-        t_t = transmission_time(cut, rate) if cut > 0 else 0.0
-        e_c = local_energy(t_c, device.power_compute)
-        e_t = transmission_energy(cut, device.power_transmit, rate) if cut > 0 else 0.0
-
-        return ConsumptionBreakdown(
-            local_energy=e_c,
-            transmission_energy=e_t,
-            local_time=t_c,
-            remote_time=t_s,
-            transmission_time=t_t,
-            waiting_time=waiting if remote_weight > 0 else 0.0,
-        )

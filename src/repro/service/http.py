@@ -76,9 +76,12 @@ def parse_graph_payload(payload: Any) -> FunctionCallGraph:
             raise PayloadError(f"function {name!r} offloadable must be a boolean")
         if graph.graph.has_node(name):
             raise PayloadError(f"duplicate function {name!r}")
-        graph.add_function(
-            name, computation=float(computation), component=component, offloadable=offloadable
-        )
+        try:
+            graph.add_function(
+                name, computation=float(computation), component=component, offloadable=offloadable
+            )
+        except ValueError as exc:
+            raise PayloadError(f"function {name!r}: {exc}") from exc
     flows = payload.get("data_flows", [])
     if not isinstance(flows, list):
         raise PayloadError("data_flows must be a list")
@@ -92,7 +95,10 @@ def parse_graph_payload(payload: Any) -> FunctionCallGraph:
             raise PayloadError(f"data flow {u!r}-{v!r} needs a numeric amount")
         if not graph.graph.has_node(u) or not graph.graph.has_node(v):
             raise PayloadError(f"data flow {u!r}-{v!r} references unknown functions")
-        graph.add_data_flow(u, v, float(amount))
+        try:
+            graph.add_data_flow(u, v, float(amount))
+        except ValueError as exc:
+            raise PayloadError(f"data flow {u!r}-{v!r}: {exc}") from exc
     return graph
 
 

@@ -334,7 +334,7 @@ class PlanService:
             return None
         try:
             check_graph_invariants(graph.graph)
-        except AssertionError as exc:
+        except ValueError as exc:
             self.metrics.counter("requests_shed").inc()
             return ServiceError("invalid-graph", str(exc))
         return None

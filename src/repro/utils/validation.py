@@ -11,8 +11,8 @@ def ensure_positive(value: float, name: str) -> float:
 
 
 def ensure_non_negative(value: float, name: str) -> float:
-    """Return *value* if >= 0, else raise ``ValueError``."""
-    if value < 0:
+    """Return *value* if >= 0, else raise ``ValueError`` (``NaN`` included)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 

@@ -63,9 +63,12 @@ class TestHttpFrontend:
             return error.code, error.read()
 
     def _post(self, port: int, path: str, payload: object) -> tuple[int, dict]:
+        return self._post_raw(port, path, json.dumps(payload))
+
+    def _post_raw(self, port: int, path: str, body: str) -> tuple[int, dict]:
         request = urllib.request.Request(
             f"http://127.0.0.1:{port}{path}",
-            data=json.dumps(payload).encode("utf-8"),
+            data=body.encode("utf-8"),
             headers={"Content-Type": "application/json"},
             method="POST",
         )
@@ -133,6 +136,33 @@ class TestHttpFrontend:
             status, raw = self._get(port, "/metrics")
             assert status == 200
             assert b"worker_pool_size" in raw and b"plan cache" in raw
+
+    def test_invalid_weights_get_structured_400s(self):
+        # Graph-building errors are client errors, and non-finite weights
+        # (which json.loads accepts as NaN/Infinity) are invalid weights.
+        two = (
+            '{"name": "f", "computation": 1.0}, {"name": "g", "computation": 1.0}'
+        )
+        bodies = {
+            "negative computation": '{"functions": [{"name": "f", "computation": -1.0}]}',
+            "NaN computation": '{"functions": [{"name": "f", "computation": NaN}]}',
+            "Infinity computation": (
+                '{"functions": [{"name": "f", "computation": Infinity}]}'
+            ),
+            "negative flow": f'{{"functions": [{two}], "data_flows": [["f", "g", -2.0]]}}',
+            "self-loop": f'{{"functions": [{two}], "data_flows": [["f", "f", 2.0]]}}',
+        }
+        with (
+            PlanService(make_planner("spectral"), ServiceConfig(workers=1)) as service,
+            HttpFrontendThread(service) as frontend,
+        ):
+            port = frontend.start()
+            for case, body in bodies.items():
+                status, reply = self._post_raw(port, "/plan", body)
+                assert status == 400, case
+                assert reply["error"]["code"] == "invalid-graph", case
+            status, body = self._get(port, "/healthz")
+            assert status == 200 and json.loads(body)["status"] == "ok"
 
     def test_loop_stays_responsive_during_slow_plan(self):
         # Regression guard for the async-safety fixes: the blocking

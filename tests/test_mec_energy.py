@@ -71,7 +71,6 @@ class TestFormulas:
         total = a + b
         assert total.energy == 6.0
         assert total.waiting_time == 3.0
-        assert ConsumptionBreakdown.zero().energy == 0.0
 
 
 class TestDevices:

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.callgraph.model import FunctionCallGraph
-from repro.mec.admission import EqualShareAllocation, FCFSQueueAllocation
+from repro.mec.admission import (
+    AllocationPolicy,
+    EqualShareAllocation,
+    FCFSQueueAllocation,
+    ServerAllocation,
+)
 from repro.mec.devices import DeviceProfile, EdgeServer, MobileDevice
 from repro.mec.greedy import (
     PlacementEvaluator,
@@ -282,3 +287,50 @@ class TestPlacementEvaluator:
         evaluator = PlacementEvaluator(system, {"u1": app}, {"u1": {1}}, ObjectiveWeights())
         with pytest.raises(ValueError):
             evaluator.evaluate_move("u1", 0)
+
+
+def make_single_offload(
+    computation: float, allocation=None
+) -> tuple[MECSystem, dict[str, PartitionedApplication], dict[str, set[int]]]:
+    """One user whose only remote work is one function of *computation*."""
+    fcg = FunctionCallGraph("tiny")
+    fcg.add_function("main", computation=40.0, offloadable=False)
+    fcg.add_function("f", computation=computation)
+    fcg.add_data_flow("main", "f", 7.0)
+    profile = DeviceProfile(
+        compute_capacity=20.0, power_compute=1.0, power_transmit=6.0, bandwidth=70.0
+    )
+    system = MECSystem(
+        EdgeServer(total_capacity=300.0),
+        [UserContext(MobileDevice("u1", profile=profile), fcg)],
+        allocation=allocation,
+    )
+    return system, {"u1": PartitionedApplication("u1", fcg, [{"f"}])}, {"u1": {0}}
+
+
+class _ZeroGrant(AllocationPolicy):
+    """Grants every user capacity 0, whatever their load."""
+
+    def allocate(self, server, remote_loads):
+        return ServerAllocation(
+            capacity={user: 0.0 for user in remote_loads},
+            waiting={user: 0.0 for user in remote_loads},
+        )
+
+
+class TestPricingDecisions:
+    def test_idle_remote_load_costs_no_server_time(self):
+        # 1e-13 is below MIN_REMOTE_LOAD: the allocation grants it nothing,
+        # and formula (2) prices it at zero server time — in the system
+        # model and in the greedy's evaluator alike.
+        system, apps, remote = make_single_offload(1e-13)
+        consumption = system.evaluate_placement(apps, remote)
+        assert consumption.per_user["u1"].remote_time == 0.0
+        assert consumption.per_user["u1"].waiting_time == 0.0
+        evaluator = PlacementEvaluator(system, apps, remote, ObjectiveWeights())
+        assert evaluator.combined() == consumption.combined()
+
+    def test_zero_capacity_for_a_real_load_raises(self):
+        system, apps, remote = make_single_offload(10.0, allocation=_ZeroGrant())
+        with pytest.raises(ValueError, match="allocated_capacity"):
+            system.evaluate_placement(apps, remote)
