@@ -181,9 +181,16 @@ class OffloadingPlanner:
         graph is planned without caching: no identity-derived key ever
         enters the cache, so a recycled object id can never alias two
         different graphs onto one plan.
+
+        Each distinct graph *object* is fingerprinted once per call, however
+        many users share it: ``call_graphs`` keeps every object alive for
+        the whole call, so the object-keyed ``keys`` table cannot confuse
+        two graphs.  It lives only for this call — ``.graph`` is mutable,
+        so a key cached across calls could go stale.
         """
         started = time.perf_counter()
 
+        keys: dict[FunctionCallGraph, Hashable | None] = {}
         plan_cache: dict[Hashable, UserPlan] = {}
         user_plans: dict[str, UserPlan] = {}
         apps: dict[str, PartitionedApplication] = {}
@@ -193,7 +200,10 @@ class OffloadingPlanner:
             call_graph = call_graphs.get(user.user_id)
             if call_graph is None:
                 raise KeyError(f"no call graph supplied for user {user.user_id!r}")
-            cache_key = self._plan_key(call_graph)
+            if call_graph in keys:
+                cache_key = keys[call_graph]
+            else:
+                cache_key = keys[call_graph] = self._plan_key(call_graph)
             if cache_key is None:
                 plan = self.plan_user(call_graph)
             elif cache_key in plan_cache:

@@ -9,7 +9,11 @@ of Section II of the paper: ``w_j^i`` is the node weight and
 The structure is a plain adjacency map (dict-of-dict) which keeps neighbor
 iteration, edge lookup and node/edge mutation O(1) amortised — the label
 propagation and merge passes of Algorithm 1 are linear scans over this
-representation.
+representation.  The derived views cost what they touch: :meth:`~WeightedGraph.edges`
+is O(V + E) with no per-edge allocation, and :meth:`~WeightedGraph.subgraph`
+walks the parent's node list once plus only the kept nodes' adjacency.  Both
+keep a fixed order — node insertion order, then each node's neighbour order —
+so every algorithm built on them is deterministic.
 """
 
 from __future__ import annotations
@@ -174,17 +178,19 @@ class WeightedGraph:
     def edges(self) -> Iterator[tuple[NodeId, NodeId, float]]:
         """Iterate over edges once each as ``(u, v, weight)``.
 
-        Each undirected edge is yielded exactly once, with the endpoint
-        first seen during insertion appearing first.
+        Each undirected edge is yielded exactly once, when the walk over
+        nodes in insertion order first reaches one of its endpoints: that
+        endpoint is ``u``, and edges come in ``u``'s neighbour order.
+        Costs O(V + E) with no per-edge allocation — a node is marked done
+        once its adjacency is walked, and a half-edge back to a done node
+        is the duplicate.
         """
-        seen: set[frozenset[NodeId]] = set()
+        done: set[NodeId] = set()
         for u, neighbors in self._adjacency.items():
             for v, w in neighbors.items():
-                key = frozenset((u, v))
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield (u, v, w)
+                if v not in done:
+                    yield (u, v, w)
+            done.add(u)
 
     def edge_list(self) -> list[tuple[NodeId, NodeId, float]]:
         """Return all edges as a list."""
@@ -260,15 +266,26 @@ class WeightedGraph:
         return clone
 
     def subgraph(self, nodes: Iterable[NodeId]) -> "WeightedGraph":
-        """Return the induced subgraph over *nodes*."""
+        """Return the induced subgraph over *nodes* (unknown ids are ignored).
+
+        Costs one pass over this graph's node list plus the kept nodes'
+        adjacency — never the whole edge set.  The result is exactly what
+        filtering :meth:`edges` would build: nodes in this graph's
+        insertion order, edges added in :meth:`edges` order, so every
+        node's neighbour order matches too (label propagation and BFS
+        follow it).
+        """
         keep = set(nodes)
+        kept = [node for node in self._adjacency if node in keep]
         sub = WeightedGraph()
-        for node in self._adjacency:
-            if node in keep:
-                sub.add_node(node, weight=self._node_weights[node], **self._node_data[node])
-        for u, v, w in self.edges():
-            if u in keep and v in keep:
-                sub.add_edge(u, v, weight=w)
+        for node in kept:
+            sub.add_node(node, weight=self._node_weights[node], **self._node_data[node])
+        pending = set(kept)
+        for u in kept:
+            pending.discard(u)
+            for v, w in self._adjacency[u].items():
+                if v in pending:
+                    sub.add_edge(u, v, weight=w)
         return sub
 
     def merge_nodes(self, survivor: NodeId, absorbed: NodeId) -> None:

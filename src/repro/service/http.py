@@ -18,7 +18,10 @@ Request and response bodies are JSON.  A call graph is::
 
 The asyncio loop only parses requests and shuttles bytes; the blocking
 waits (``PlanTicket.result``) run on the loop's default thread-pool
-executor, so slow plans never stall other connections.  When FastAPI is
+executor, so slow plans never stall other connections.  A request whose
+line, headers and body have not all arrived within
+``_READ_DEADLINE_SECONDS`` gets a 408 and is closed, so a stalled client
+cannot hold a connection forever.  When FastAPI is
 installed, :func:`make_fastapi_app` builds an equivalent ASGI app over
 the same service; it is entirely optional and nothing here imports it.
 """
@@ -36,6 +39,12 @@ from repro.service.plan_cache import plan_digest, plan_to_dict
 from repro.service.server import PlanResponse, PlanService, PlanTicket
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+_READ_DEADLINE_SECONDS = 10.0
+"""Budget for reading one whole request: request line, headers and body.
+
+A client that stalls mid-headers or sends less body than its
+``Content-Length`` gets a 408 and its connection closed when it runs out.
+"""
 _MAX_TICKETS = 1024
 _JSON = "application/json"
 
@@ -221,28 +230,16 @@ class HttpFrontend:
         self, reader: asyncio.StreamReader
     ) -> tuple[int, str, bytes]:
         try:
-            request_line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError):
-            return 400, _JSON, _error_body("bad-request", "unreadable request")
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            return 400, _JSON, _error_body("bad-request", "malformed request line")
-        method, path = parts[0].upper(), parts[1]
-
-        content_length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"", b"\r\n", b"\n"):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    return 400, _JSON, _error_body("bad-request", "bad content-length")
-        if content_length < 0 or content_length > _MAX_BODY_BYTES:
-            return 413, _JSON, _error_body("too-large", "request body too large")
-        body = await reader.readexactly(content_length) if content_length else b""
+            method, path, body = await asyncio.wait_for(
+                _read_request(reader), _READ_DEADLINE_SECONDS
+            )
+        except asyncio.TimeoutError:
+            return 408, _JSON, _error_body(
+                "request-timeout",
+                f"request not received within {_READ_DEADLINE_SECONDS:g} s",
+            )
+        except _BadRequest as exc:
+            return exc.status, _JSON, _error_body(exc.code, str(exc))
 
         if method == "GET" and path == "/healthz":
             return 200, _JSON, json.dumps({"status": "ok"}).encode()
@@ -297,6 +294,50 @@ class HttpFrontend:
         return _status_for(response), _JSON, json.dumps(response_to_dict(response)).encode()
 
 
+class _BadRequest(Exception):
+    """A request that cannot be read; carries its status and error code."""
+
+    def __init__(self, status: int, code: str, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+        self.code = code
+
+
+async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, bytes]:
+    """Read one request: ``(method, path, body)`` or :class:`_BadRequest`."""
+    # readline raises ValueError for a line longer than the stream limit.
+    try:
+        request_line = await reader.readline()
+    except (ConnectionError, ValueError) as exc:
+        raise _BadRequest(400, "bad-request", "unreadable request") from exc
+    parts = request_line.decode("latin-1").split()
+    if len(parts) < 2:
+        raise _BadRequest(400, "bad-request", "malformed request line")
+    method, path = parts[0].upper(), parts[1]
+
+    content_length = 0
+    while True:
+        try:
+            line = await reader.readline()
+        except (ConnectionError, ValueError) as exc:
+            raise _BadRequest(400, "bad-request", "unreadable header line") from exc
+        if line in (b"", b"\r\n", b"\n"):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        if name.strip().lower() == "content-length":
+            try:
+                content_length = int(value.strip())
+            except ValueError as exc:
+                raise _BadRequest(400, "bad-request", "bad content-length") from exc
+    if content_length < 0 or content_length > _MAX_BODY_BYTES:
+        raise _BadRequest(413, "too-large", "request body too large")
+    try:
+        body = await reader.readexactly(content_length) if content_length else b""
+    except asyncio.IncompleteReadError as exc:
+        raise _BadRequest(400, "bad-request", "body shorter than content-length") from exc
+    return method, path, body
+
+
 def _status_for(response: PlanResponse) -> int:
     if response.ok:
         return 200
@@ -318,6 +359,7 @@ _REASONS = {
     202: "Accepted",
     400: "Bad Request",
     404: "Not Found",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",

@@ -148,6 +148,43 @@ class TestPlanSystem:
         plans = list(result.user_plans.values())
         assert all(p is plans[0] for p in plans)
 
+    def test_each_distinct_graph_object_fingerprinted_once(self, monkeypatch):
+        import repro.service.fingerprint as fingerprint_module
+
+        twin_a = synthesize_application("twin", n_functions=30, seed=13)
+        twin_b = synthesize_application("twin", n_functions=30, seed=13)
+        other = synthesize_application("other", n_functions=30, seed=14)
+        apps = [twin_a, twin_b, other]
+        users = [UserContext(MobileDevice(f"u{k}"), apps[k % 3]) for k in range(12)]
+        system = MECSystem(EdgeServer(total_capacity=300.0 * len(users)), users)
+        graphs = {f"u{k}": apps[k % 3] for k in range(12)}
+
+        fingerprinted: list[object] = []
+        real_fingerprint = fingerprint_module.request_fingerprint
+
+        def counting_fingerprint(call_graph, *args):
+            fingerprinted.append(call_graph)
+            return real_fingerprint(call_graph, *args)
+
+        monkeypatch.setattr(fingerprint_module, "request_fingerprint", counting_fingerprint)
+        planner = make_planner("spectral")
+        planned: list[object] = []
+        real_plan_user = planner.plan_user
+
+        def counting_plan_user(call_graph):
+            planned.append(call_graph)
+            return real_plan_user(call_graph)
+
+        monkeypatch.setattr(planner, "plan_user", counting_plan_user)
+        result = planner.plan_system(system, graphs)
+
+        assert len(fingerprinted) == 3
+        assert all(any(seen is app for seen in fingerprinted) for app in apps)
+        # The twins are distinct objects with equal content: one plan.
+        assert len(planned) == 2
+        assert result.user_plans["u0"] is result.user_plans["u1"]
+        assert result.user_plans["u0"] is not result.user_plans["u2"]
+
     def test_missing_call_graph_rejected(self):
         app = synthesize_application("demo", n_functions=20, seed=9)
         system, _ = self.make_system(app)

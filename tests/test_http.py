@@ -9,8 +9,10 @@ fingerprint round trip.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import random
+import socket
 import threading
 import time
 import urllib.error
@@ -18,6 +20,7 @@ import urllib.request
 
 from repro.callgraph.model import FunctionCallGraph
 from repro.core import make_planner
+from repro.service import http as http_module
 from repro.service import (
     HttpFrontendThread,
     PlanService,
@@ -204,6 +207,68 @@ class TestHttpFrontend:
         assert status == 200 and body["ok"] is True
         assert latencies, "healthz probes must overlap the in-flight plan"
         assert max(latencies) < 0.5, f"event loop stalled during plan: {latencies}"
+
+    def test_stalled_body_gets_408_and_leaves_nothing_behind(self, monkeypatch):
+        deadline = 0.5
+        monkeypatch.setattr(http_module, "_READ_DEADLINE_SECONDS", deadline)
+        threads_before = set(threading.enumerate())
+        with PlanService(make_planner("spectral"), ServiceConfig(workers=1)) as service:
+            frontend = HttpFrontendThread(service)
+            port = frontend.start()
+            loop = frontend._loop
+            try:
+                with socket.create_connection(("127.0.0.1", port), timeout=10.0) as stalled:
+                    stalled.sendall(
+                        b"POST /plan HTTP/1.1\r\nContent-Length: 100\r\n\r\n" + b"{" * 10
+                    )
+                    sent = time.monotonic()
+                    status, body = self._get(port, "/healthz")
+                    healthz_seconds = time.monotonic() - sent
+                    assert status == 200 and json.loads(body)["status"] == "ok"
+                    reply = b""
+                    while chunk := stalled.recv(4096):
+                        reply += chunk
+                    answered = time.monotonic() - sent
+                head, _, payload = reply.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 408 ")
+                assert json.loads(payload)["error"]["code"] == "request-timeout"
+                assert healthz_seconds < deadline
+                assert answered < deadline + 2.0
+
+                async def other_tasks() -> int:
+                    return len(asyncio.all_tasks()) - 1
+
+                give_up = time.monotonic() + 5.0
+                while asyncio.run_coroutine_threadsafe(other_tasks(), loop).result(5.0):
+                    assert time.monotonic() < give_up, "a connection task was left behind"
+                    time.sleep(0.01)
+            finally:
+                frontend.close()
+        assert [t for t in threading.enumerate() if t not in threads_before] == []
+
+    def test_unreadable_requests_are_400s(self):
+        # A body cut short by EOF, and request or header lines longer than
+        # the stream limit, are client errors — never a 500.
+        requests = {
+            "truncated body": b"POST /plan HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}",
+            "long header": b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+            "long request line": b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        }
+        with (
+            PlanService(make_planner("spectral"), ServiceConfig(workers=1)) as service,
+            HttpFrontendThread(service) as frontend,
+        ):
+            port = frontend.start()
+            for case, request in requests.items():
+                with socket.create_connection(("127.0.0.1", port), timeout=10.0) as client:
+                    client.sendall(request)
+                    client.shutdown(socket.SHUT_WR)
+                    reply = b""
+                    while chunk := client.recv(4096):
+                        reply += chunk
+                head, _, payload = reply.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400 "), case
+                assert json.loads(payload)["error"]["code"] == "bad-request", case
 
     def test_parse_payload_round_trips_fingerprint(self):
         for seed in range(5):
