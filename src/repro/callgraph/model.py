@@ -91,6 +91,10 @@ class FunctionCallGraph:
         """Iterate over function names."""
         return iter(self._info)
 
+    def function_infos(self) -> Iterator[FunctionInfo]:
+        """Iterate over every function's metadata, in insertion order."""
+        return iter(self._info.values())
+
     @property
     def function_count(self) -> int:
         """Number of functions."""
@@ -140,9 +144,10 @@ class FunctionCallGraph:
         """Communication between *nodes* and the unoffloadable functions.
 
         When a group of offloadable functions executes remotely, every data
-        flow it has with a pinned-local function crosses the wireless link;
-        the greedy scheme generator charges that traffic via this helper.
-        The sum is exact (``math.fsum``), so it does not depend on the
+        flow it has with a pinned-local function crosses the wireless link.
+        :class:`~repro.mec.scheme.PartitionedApplication` collects the same
+        sum for all of its parts in one edge walk; this is the one-group
+        query.  The sum is exact (``math.fsum``), so it does not depend on the
         iteration order of *nodes* — typically a set of names, whose order
         follows the interpreter's hash seed.
         """

@@ -77,16 +77,26 @@ class _AdmittedUser:
     graph: FunctionCallGraph
     key: str
     plan: "UserPlan"
+    app: PartitionedApplication
+    """The application partitioned from ``plan.parts``: replays reuse it."""
 
 
 @dataclass
 class _DegradedUser:
-    """A user running all-local, retained so it can be re-admitted later."""
+    """A user running all-local, retained so it can be re-admitted later.
+
+    *key* and *plan* are whatever the failed admission had computed
+    (``None`` when it stopped before fingerprinting or planning);
+    :meth:`EdgeFleet.retry_degraded` re-admits with them instead of
+    re-fingerprinting and re-planning the graph.
+    """
 
     device: MobileDevice
     graph: FunctionCallGraph
     breakdown: ConsumptionBreakdown
     sla: UserSLA | None = None
+    key: str | None = None
+    plan: "UserPlan | None" = None
 
 
 @dataclass
@@ -203,39 +213,58 @@ class FleetServer:
         device: MobileDevice,
         graph: FunctionCallGraph,
         key: str,
-        plan: "UserPlan | None" = None,
-        fallback_plan: "UserPlan | None" = None,
+        prepared: "tuple[UserPlan, PartitionedApplication] | None" = None,
     ) -> tuple[AdmissionRecord, bool]:
         """Admit one user, serving the plan from this server's cache.
 
-        Returns ``(record, cache_hit)``.  A *plan* passed explicitly
-        (rebalance/failover replay) bypasses the cache lookup — the move
-        is not a request, so it must not distort hit-rate statistics —
-        but still populates the cache for future arrivals.  A
-        *fallback_plan* (planned up front for an SLA feasibility check) is
-        only used after a cache miss, so hit-rate statistics stay
-        identical to planning inline; planning is deterministic, so the
-        result is identical too.
+        Returns ``(record, cache_hit)``.  A *prepared* plan and the
+        application partitioned from it (made up front for an SLA
+        feasibility check) stand in for planning only after a cache miss,
+        so hit-rate statistics stay identical to planning inline;
+        planning is deterministic, so the result is identical too.  On a
+        hit the prepared application is still reused when the cached
+        plan has the same parts.
         """
-        cache_hit = False
-        if plan is None:
-            plan = self.cache.get(key)
-            cache_hit = plan is not None
-            if plan is None:
-                plan = fallback_plan
-        record = self.planner.admit(device, graph, plan=plan)
-        self.cache.put(key, record.plan)
-        self.admitted[device.device_id] = _AdmittedUser(device, graph, key, record.plan)
+        plan = self.cache.get(key)
+        cache_hit = plan is not None
+        if prepared is not None and (plan is None or plan.parts == prepared[0].parts):
+            prepared_plan, app = prepared
+            record = self.planner.admit_partitioned(
+                device, app, prepared_plan if plan is None else plan
+            )
+        else:
+            record = self.planner.admit(device, graph, plan=plan)
+        self._keep(device, graph, key, record)
         return record, cache_hit
+
+    def place(self, entry: _AdmittedUser) -> AdmissionRecord:
+        """Replay a user moved here with its recorded plan and application.
+
+        A move is not a request: the cache lookup is skipped, so hit-rate
+        statistics are not distorted, but the cache is still populated
+        for future arrivals.
+        """
+        record = self.planner.admit_partitioned(entry.device, entry.app, entry.plan)
+        self._keep(entry.device, entry.graph, entry.key, record)
+        return record
+
+    def _keep(
+        self, device: MobileDevice, graph: FunctionCallGraph, key: str, record: AdmissionRecord
+    ) -> None:
+        self.cache.put(key, record.plan)
+        self.admitted[device.device_id] = _AdmittedUser(
+            device, graph, key, record.plan, self.planner.state.apps[device.device_id]
+        )
 
     def evict(self, user_id: str) -> _AdmittedUser:
         """Remove one user, rebuilding the planner state from the rest.
 
         :class:`OnlinePlanner` freezes placements and cannot un-admit,
         so eviction replays the surviving users (in admission order,
-        with their recorded plans — no compress/cut work) into a fresh
-        planner.  Greedy placement re-runs, which is the point: the
-        survivors reclaim the evicted user's share of the server.
+        with their recorded plans and partitioned applications — no
+        compress/cut or partition work) into a fresh planner.  Greedy
+        placement re-runs, which is the point: the survivors reclaim the
+        evicted user's share of the server.
         """
         entry = self.admitted.pop(user_id, None)
         if entry is None:
@@ -249,7 +278,7 @@ class FleetServer:
             channel=self._channel,
         )
         for survivor in survivors:
-            self.planner.admit(survivor.device, survivor.graph, plan=survivor.plan)
+            self.planner.admit_partitioned(survivor.device, survivor.app, survivor.plan)
         return entry
 
     def drain(self) -> list[_AdmittedUser]:
@@ -480,24 +509,47 @@ class EdgeFleet:
         user_id = device.device_id
         if user_id in self._owner or user_id in self._degraded:
             raise ValueError(f"user {user_id!r} already admitted to the fleet")
+        return self._admit(device, graph, sla)
+
+    def _admit(
+        self,
+        device: MobileDevice,
+        graph: FunctionCallGraph,
+        sla: UserSLA | None,
+        key: str | None = None,
+        kept_plan: "UserPlan | None" = None,
+    ) -> FleetAdmission:
+        """The admission path behind :meth:`admit` and :meth:`retry_degraded`.
+
+        A retried user brings the *key* and *kept_plan* its failed
+        admission computed: the key skips re-fingerprinting, and the
+        plan stands in for a fresh one only where one would have been
+        made, after the cache lookup misses.
+        """
+        user_id = device.device_id
         started = time.perf_counter()
         eligible = self._eligible()
         if not eligible:
-            return self._admit_infeasible(device, graph, sla)
+            return self._admit_infeasible(device, graph, sla, key, kept_plan)
 
-        key = self.request_key(graph)
-        fallback_plan: "UserPlan | None" = None
+        if key is None:
+            key = self.request_key(graph)
+        prepared: "tuple[UserPlan, PartitionedApplication] | None" = None
         if sla is not None:
             # Feasibility needs the newcomer's plan before any server is
-            # chosen; borrow a cached one when possible, else plan once
-            # and hand the result down as the admission's fallback plan
-            # (used only on a cache miss, so hit-rate stats are honest).
-            fallback_plan = self._lookup_plan(key)
-            if fallback_plan is None:
-                fallback_plan = self._template.plan_user(graph)
-            eligible = self._sla_feasible(eligible, device, graph, fallback_plan, sla)
+            # chosen; borrow a cached one when possible, else plan once.
+            # Partition it once, price that one application on every
+            # candidate, and hand both down to the admitting server (the
+            # plan is used there only on a cache miss, so hit-rate stats
+            # are honest).
+            plan = self._lookup_plan(key)
+            if plan is None:
+                plan = kept_plan if kept_plan is not None else self._template.plan_user(graph)
+            app = PartitionedApplication(user_id, graph, plan.parts)
+            eligible = self._sla_feasible(eligible, device, app, plan, sla)
             if not eligible:
-                return self._admit_infeasible(device, graph, sla)
+                return self._admit_infeasible(device, graph, sla, key, plan)
+            prepared = (plan, app)
         target = self.routing.route(
             key,
             [
@@ -513,7 +565,7 @@ class EdgeFleet:
             ],
         )
         server = self.servers[target]
-        record, cache_hit = server.admit(device, graph, key, fallback_plan=fallback_plan)
+        record, cache_hit = server.admit(device, graph, key, prepared)
         self._owner[user_id] = target
         if sla is not None:
             self._slas[user_id] = sla
@@ -543,11 +595,15 @@ class EdgeFleet:
         self,
         eligible: list[FleetServer],
         device: MobileDevice,
-        graph: FunctionCallGraph,
+        app: PartitionedApplication,
         plan: "UserPlan",
         sla: UserSLA,
     ) -> list[FleetServer]:
-        """The subset of *eligible* whose modelled cost meets the deadline."""
+        """The subset of *eligible* whose modelled cost meets the deadline.
+
+        *app* is partitioned from ``plan.parts`` once by the caller and
+        priced, read-only, against every server.
+        """
         weights = self.config.objective
         return [
             server
@@ -556,7 +612,7 @@ class EdgeFleet:
                 modelled_user_cost(
                     server,
                     device,
-                    graph,
+                    app,
                     plan,
                     weights,
                     rtt=self.latency.rtt(device.device_id, server.server_id),
@@ -569,8 +625,14 @@ class EdgeFleet:
         device: MobileDevice,
         graph: FunctionCallGraph,
         sla: UserSLA | None,
+        key: str | None,
+        plan: "UserPlan | None",
     ) -> FleetAdmission:
-        """No server can take the user: degrade to all-local, or reject."""
+        """No server can take the user: degrade to all-local, or reject.
+
+        A degraded user keeps the *key* and *plan* computed so far, for
+        :meth:`retry_degraded`.
+        """
         user_id = device.device_id
         if sla is not None and sla.on_infeasible == "reject":
             self._sla_rejections += 1
@@ -578,7 +640,7 @@ class EdgeFleet:
             self._record_tick()
             return FleetAdmission(user_id, None, None, rejected=True)
         self._degraded[user_id] = _DegradedUser(
-            device, graph, all_local_breakdown(device, graph), sla=sla
+            device, graph, all_local_breakdown(device, graph), sla=sla, key=key, plan=plan
         )
         if sla is not None:
             self._slas[user_id] = sla
@@ -609,8 +671,10 @@ class EdgeFleet:
         capacity frees — a rebalance opens a slot under the user cap, a
         dead server is revived — this walks them in degradation order
         and routes each through the standard admission path (policy,
-        caps and caches all apply).  Users the fleet still cannot take
-        stay degraded; nothing is ever lost either way.
+        caps and caches all apply), with the request key and plan kept
+        from its failed admission, so a retry neither re-fingerprints nor
+        re-plans the graph.  Users the fleet still cannot take stay
+        degraded; nothing is ever lost either way.
         """
         if not self._degraded:
             return []
@@ -619,7 +683,9 @@ class EdgeFleet:
             if not self._eligible():
                 break
             entry = self._degraded.pop(user_id)
-            admission = self.admit(entry.device, entry.graph, sla=entry.sla)
+            admission = self._admit(
+                entry.device, entry.graph, entry.sla, entry.key, entry.plan
+            )
             if admission.degraded:
                 # Capacity exists but the user's SLA still finds no
                 # feasible server; admit re-queued them degraded.
@@ -934,8 +1000,7 @@ class EdgeFleet:
 
     def _move_user(self, src: FleetServer, dst: FleetServer, user_id: str) -> MigrationCost:
         """Replay *user_id* from *src* onto *dst*; charge and return the cost."""
-        entry = src.evict(user_id)
-        dst.admit(entry.device, entry.graph, entry.key, plan=entry.plan)
+        dst.place(src.evict(user_id))
         self._owner[user_id] = dst.server_id
         cost = self.charge_migration(user_id)
         self.metrics.gauge(f"fleet_users_{src.server_id}").set(src.users)
@@ -978,7 +1043,7 @@ class EdgeFleet:
             if after > threshold:
                 continue
             if sla is not None and not self._sla_feasible(
-                [dst], entry.device, entry.graph, entry.plan, sla
+                [dst], entry.device, entry.app, entry.plan, sla
             ):
                 continue
             feasible.append((after, dst.server_id, dst))

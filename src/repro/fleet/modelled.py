@@ -15,6 +15,12 @@ admission side: it replays :meth:`repro.mec.online.OnlinePlanner.admit`'s
 greedy placement for a newcomer *without mutating the planner* (the
 greedy itself is pure), so SLA feasibility evaluates the exact placement
 the user would receive, not an approximation of it.
+
+Neither helper partitions anything: building a
+:class:`~repro.mec.scheme.PartitionedApplication` costs more than pricing
+it, so :class:`~repro.fleet.fleet.EdgeFleet` builds the newcomer's once
+per SLA check, prices that instance against every candidate server, and
+hands it on to the admitting server's planner.
 """
 
 from __future__ import annotations
@@ -99,11 +105,12 @@ def hypothetical_consumption(
 def hypothetical_remote_parts(
     server: "FleetServer",
     device: MobileDevice,
-    graph: FunctionCallGraph,
+    app: PartitionedApplication,
     plan: "UserPlan",
 ) -> set[int]:
     """The remote part set *device* would receive if admitted on *server*.
 
+    *app* is the newcomer's application partitioned from ``plan.parts``.
     Replays the greedy placement of
     :meth:`~repro.mec.online.OnlinePlanner.admit` — newcomer's bisections
     as the only candidate moves, existing users frozen at their recorded
@@ -113,11 +120,9 @@ def hypothetical_remote_parts(
     """
     state = server.planner.state
     config = server.planner.config
-    users = [*state.users, UserContext(device, graph)]
+    users = [*state.users, UserContext(device, app.call_graph)]
     apps = dict(state.apps)
-    apps[device.device_id] = PartitionedApplication(
-        device.device_id, graph, plan.parts
-    )
+    apps[device.device_id] = app
     bisections: dict[str, list[tuple[set[int], set[int]]]] = {
         uid: [] for uid in state.apps
     }
@@ -142,25 +147,26 @@ def hypothetical_remote_parts(
 def modelled_user_cost(
     server: "FleetServer",
     device: MobileDevice,
-    graph: FunctionCallGraph,
+    app: PartitionedApplication,
     plan: "UserPlan",
     weights: "ObjectiveWeights",
     rtt: float = 0.0,
 ) -> float:
     """*device*'s modelled scalarised cost if admitted on *server*.
 
-    Places the newcomer hypothetically (:func:`hypothetical_remote_parts`),
-    evaluates the resulting deployment through
-    :func:`hypothetical_consumption`, and returns the newcomer's own
-    per-user ``E + T`` with the link *rtt* charged by
-    :func:`charge_link_rtt` — the same charge
+    *app* is the newcomer's application partitioned from ``plan.parts``;
+    the caller builds it once and passes the same instance for every
+    candidate server (it is only read).  Places the newcomer
+    hypothetically (:func:`hypothetical_remote_parts`), evaluates the
+    resulting deployment through :func:`hypothetical_consumption`, and
+    returns the newcomer's own per-user ``E + T`` with the link *rtt*
+    charged by :func:`charge_link_rtt` — the same charge
     :meth:`~repro.fleet.fleet.EdgeFleet.total_consumption` applies, so the
     admission check and the violation report speak one unit.
     """
-    app = PartitionedApplication(device.device_id, graph, plan.parts)
-    remote = hypothetical_remote_parts(server, device, graph, plan)
+    remote = hypothetical_remote_parts(server, device, app, plan)
     consumption = hypothetical_consumption(
-        server, extra=(device, graph, app, remote)
+        server, extra=(device, app.call_graph, app, remote)
     )
     breakdown = charge_link_rtt(consumption.per_user[device.device_id], rtt)
     return weights.combine(breakdown.energy, breakdown.time)

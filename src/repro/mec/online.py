@@ -99,16 +99,31 @@ class OnlinePlanner:
         identical graph under an identical config — the service's
         fingerprint keying provides exactly that.
         """
+        if plan is None:
+            plan = self._planner.plan_user(call_graph)
+        return self.admit_partitioned(
+            device, PartitionedApplication(device.device_id, call_graph, plan.parts), plan
+        )
+
+    def admit_partitioned(
+        self,
+        device: MobileDevice,
+        app: PartitionedApplication,
+        plan: "UserPlan",
+    ) -> AdmissionRecord:
+        """:meth:`admit` with the newcomer's application already
+        partitioned: *app* must have been built from ``plan.parts``.
+
+        The fleet prices a newcomer against several servers before it
+        admits it, and replays survivors after an eviction; both hold the
+        user's :class:`PartitionedApplication` already and hand it in
+        here rather than rebuild it.
+        """
         if any(u.user_id == device.device_id for u in self.state.users):
             raise ValueError(f"user {device.device_id!r} already admitted")
 
-        if plan is None:
-            plan = self._planner.plan_user(call_graph)
-        user = UserContext(device, call_graph)
-        self.state.users.append(user)
-        self.state.apps[device.device_id] = PartitionedApplication(
-            device.device_id, call_graph, plan.parts
-        )
+        self.state.users.append(UserContext(device, app.call_graph))
+        self.state.apps[device.device_id] = app
 
         system = MECSystem(
             self.server,

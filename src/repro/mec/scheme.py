@@ -41,7 +41,10 @@ class PartitionedApplication:
 
     ``inter_comm[(i, j)]`` (with ``i < j``) is the communication weight
     between parts ``i`` and ``j``; it crosses the wireless link exactly
-    when the two parts sit on different sides.
+    when the two parts sit on different sides.  Construction is one
+    O(V + E) pass over the call graph, so callers that hold an instance
+    (the fleet's SLA check, admission and eviction replay) reuse it
+    rather than rebuild it.
     """
 
     def __init__(
@@ -71,37 +74,45 @@ class PartitionedApplication:
                 f"parts contain unoffloadable functions: {sorted(extraneous)!r}"
             )
 
-        self.parts: list[SchemePart] = []
         membership: dict[str, int] = {}
         for index, functions in enumerate(cleaned):
-            # fsum is exact, so the total does not depend on the set's
-            # iteration order (which follows the interpreter's hash seed).
-            computation = math.fsum(graph.node_weight(f) for f in functions)
-            anchor = call_graph.local_anchor_traffic(functions)
-            self.parts.append(
-                SchemePart(
-                    user_id=user_id,
-                    part_id=index,
-                    functions=functions,
-                    computation=computation,
-                    anchor_traffic=anchor,
-                )
-            )
             for function in functions:
                 membership[function] = index
+        pinned = call_graph.unoffloadable_functions()
+        pinned_set = set(pinned)
 
+        # One walk over the edges collects both the part-to-part traffic
+        # and each part's traffic to pinned functions (a pinned function
+        # is never in a part, so every such edge is seen exactly once).
+        anchor_flows: list[list[float]] = [[] for _ in cleaned]
         self.inter_comm: dict[tuple[int, int], float] = {}
         for u, v, weight in graph.edges():
             pu = membership.get(u)
             pv = membership.get(v)
-            if pu is None or pv is None or pu == pv:
+            if pu is None or pv is None:
+                if pu is not None and v in pinned_set:
+                    anchor_flows[pu].append(weight)
+                elif pv is not None and u in pinned_set:
+                    anchor_flows[pv].append(weight)
                 continue
-            key = (min(pu, pv), max(pu, pv))
+            if pu == pv:
+                continue
+            key = (pu, pv) if pu < pv else (pv, pu)
             self.inter_comm[key] = self.inter_comm.get(key, 0.0) + weight
 
-        self.pinned_computation = sum(
-            graph.node_weight(f) for f in call_graph.unoffloadable_functions()
-        )
+        # fsum is exact, so neither sum depends on the set's iteration
+        # order (which follows the interpreter's hash seed).
+        self.parts: list[SchemePart] = [
+            SchemePart(
+                user_id=user_id,
+                part_id=index,
+                functions=functions,
+                computation=math.fsum(graph.node_weight(f) for f in functions),
+                anchor_traffic=math.fsum(anchor_flows[index]),
+            )
+            for index, functions in enumerate(cleaned)
+        ]
+        self.pinned_computation = sum(graph.node_weight(f) for f in pinned)
 
     @property
     def part_count(self) -> int:

@@ -4,22 +4,13 @@
 which fails exactly in the realistic serving scenario: millions of users
 running the same application submit structurally identical graphs as
 distinct objects.  This module gives every (graph, config) pair a stable
-name, at two tiers:
-
-* :func:`graph_fingerprint` — the **content** fingerprint: a SHA-256
-  over the canonically sorted functions and data flows.  Invariant under
-  node *insertion order* and across processes, sensitive to names,
-  weights, components and offloadability.  This is the cache key: two
-  graphs with the same content fingerprint produce byte-identical plans,
-  so one may safely answer for the other.
-* :func:`structural_fingerprint` — the **structural** fingerprint: a
-  Weisfeiler–Leman colour-refinement hash that is additionally invariant
-  under node *relabelling* (isomorphic graphs hash equal).  Plans name
-  concrete functions, so relabelled graphs cannot share cache entries —
-  but the structural tier lets the service report how many genuinely
-  distinct application *shapes* it is seeing, and deduplicates analytics
-  across renamed builds of the same app.
-
+name: :func:`graph_fingerprint`, a SHA-256 over the canonically sorted
+functions and data flows.  It is invariant under node *insertion order*
+and across processes, and sensitive to names, weights, components and
+offloadability.  This is the cache key: two graphs with the same content
+fingerprint produce byte-identical plans, so one may safely answer for
+the other.  It is also what affinity routing routes on, so its bytes are
+pinned by golden tests: a changed digest moves users between servers.
 Floats are canonicalised through ``repr`` (shortest round-trip form in
 CPython >= 3.1), so equal weights hash equal regardless of how they were
 computed.
@@ -34,11 +25,6 @@ from enum import Enum
 from typing import Any
 
 from repro.callgraph.model import FunctionCallGraph
-
-_WL_ROUNDS = 3
-"""Colour-refinement rounds.  Three rounds separate everything label
-propagation or a spectral cut could separate on workload-scale graphs;
-the hash only has to *discriminate*, not certify isomorphism."""
 
 
 class FingerprintError(TypeError):
@@ -63,7 +49,7 @@ def _canon_float(value: float) -> str:
 def graph_fingerprint(call_graph: FunctionCallGraph) -> str:
     """Canonical content hash of *call_graph* (names included).
 
-    Sorting functions by name and edges by their sorted endpoint pair
+    Sorting functions by name and edges by their ordered endpoint pair
     makes the hash independent of construction order; including the
     names makes it safe as a plan-cache key (cached parts reference
     function names that exist in every graph sharing the hash).
@@ -80,61 +66,17 @@ def graph_fingerprint(call_graph: FunctionCallGraph) -> str:
             info.component,
             "1" if info.offloadable else "0",
         )
-        for info in (call_graph.info(name) for name in call_graph.functions())
+        for info in call_graph.function_infos()
     )
-    edges = sorted(
-        (*sorted((str(u), str(v))), _canon_float(w))
-        for u, v, w in call_graph.graph.edges()
-    )
+    edges: list[tuple[str, str, str]] = []
+    for u, v, w in call_graph.graph.edges():
+        su, sv, weight = str(u), str(v), _canon_float(w)
+        edges.append((su, sv, weight) if su <= sv else (sv, su, weight))
+    edges.sort()
     return _digest(
         "graph-v1",
         json.dumps(nodes, separators=(",", ":")),
         json.dumps(edges, separators=(",", ":")),
-    )
-
-
-def structural_fingerprint(call_graph: FunctionCallGraph) -> str:
-    """Relabelling-invariant hash of *call_graph*'s weighted structure.
-
-    Weisfeiler–Leman colour refinement: every node starts with a colour
-    derived from its (computation, component, offloadability) triple and
-    repeatedly absorbs the sorted multiset of its ``(edge weight,
-    neighbour colour)`` pairs.  The final hash combines the sorted node
-    colours with the sorted edge signatures, so any bijective renaming
-    of the functions leaves it unchanged, while perturbing any weight or
-    flag changes it.
-    """
-    graph = call_graph.graph
-    colors: dict[str, str] = {}
-    for name in call_graph.functions():
-        info = call_graph.info(name)
-        colors[name] = _digest(
-            "node-v1",
-            _canon_float(info.computation),
-            info.component,
-            "1" if info.offloadable else "0",
-        )
-
-    for _ in range(_WL_ROUNDS):
-        updated: dict[str, str] = {}
-        for name in colors:
-            signature = sorted(
-                (_canon_float(weight), colors[neighbor])
-                for neighbor, weight in graph.neighbor_items(name)
-            )
-            updated[name] = _digest(
-                "refine-v1", colors[name], json.dumps(signature, separators=(",", ":"))
-            )
-        colors = updated
-
-    edge_signatures = sorted(
-        _digest("edge-v1", _canon_float(w), *sorted((colors[u], colors[v])))
-        for u, v, w in graph.edges()
-    )
-    return _digest(
-        "struct-v1",
-        json.dumps(sorted(colors.values()), separators=(",", ":")),
-        json.dumps(edge_signatures, separators=(",", ":")),
     )
 
 

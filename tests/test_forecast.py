@@ -15,10 +15,18 @@ determinism of the whole experiment sweep.
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro.fleet.fleet as fleet_module
 from repro.core import make_planner
+from repro.core.planner import OffloadingPlanner
 from repro.core.results import UserPlan
 from repro.experiments.fleet import run_fleet_routing_experiment
 from repro.fleet import (
@@ -28,6 +36,7 @@ from repro.fleet import (
     GeoLatencyMap,
     ServerLoad,
     StaticLatencyMap,
+    all_local_breakdown,
     hypothetical_consumption,
     make_latency_map,
     modelled_user_cost,
@@ -45,6 +54,7 @@ from repro.forecast import (
     utilisation_series_name,
 )
 from repro.mec.devices import MobileDevice
+from repro.mec.scheme import PartitionedApplication
 from repro.service.metrics import MetricsRegistry
 from repro.service.plan_cache import PlanCache
 from repro.workloads import synthesize_application
@@ -301,7 +311,9 @@ class TestSharedModelledHelper:
         device = MobileDevice("u0", profile=fleet_profile.device)
         plan = make_planner("spectral").plan_user(clone(app))
         weights = probe.config.objective
-        modelled = modelled_user_cost(server, device, clone(app), plan, weights, rtt=rtt)
+        graph = clone(app)
+        partitioned = PartitionedApplication("u0", graph, plan.parts)
+        modelled = modelled_user_cost(server, device, partitioned, plan, weights, rtt=rtt)
 
         fleet = EdgeFleet(
             1, capacity, latency=StaticLatencyMap(server_rtt={"edge-00": rtt})
@@ -397,6 +409,207 @@ class TestSLAAdmission:
         assert recovered[0].server_id == "edge-01"
         report = fleet.sla_report()
         assert (report.users, report.degraded, report.violations) == (1, 0, 0)
+
+
+# ----------------------------------------------------------------------
+# Admission work counts: each piece of work done once
+# ----------------------------------------------------------------------
+def count_partitions(monkeypatch):
+    """Record the user id of every :class:`PartitionedApplication` built."""
+    built = []
+    original = PartitionedApplication.__init__
+
+    def counting(self, user_id, *args, **kwargs):
+        built.append(user_id)
+        original(self, user_id, *args, **kwargs)
+
+    monkeypatch.setattr(PartitionedApplication, "__init__", counting)
+    return built
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name``; the returned list grows by one per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def loaded_fleet(profile):
+    """A 4-server affinity-routed fleet with six users of two apps admitted."""
+    fleet = EdgeFleet(
+        4, profile.server_capacity_per_user * 2, routing=FingerprintAffinityRouting()
+    )
+    apps = [synthesize_application(f"load{k}", n_functions=20, seed=k) for k in range(2)]
+    for i in range(6):
+        fleet.admit(MobileDevice(f"load-{i}", profile=profile.device), clone(apps[i % 2]))
+    return fleet
+
+
+class TestAdmissionWorkCounts:
+    @pytest.mark.parametrize("cached", [False, True], ids=["cold", "cached"])
+    def test_sla_admission_partitions_the_newcomer_once(
+        self, fleet_profile, monkeypatch, cached
+    ):
+        """The SLA check builds the newcomer's application once, prices
+        it on all 4 servers, and the admitting server keeps that same
+        instance (a build per pricing and one on admission would be
+        2 x 4 + 1 = 9)."""
+        fleet = loaded_fleet(fleet_profile)
+        app = synthesize_application("newcomer", n_functions=20, seed=9)
+        if cached:
+            fleet.admit(MobileDevice("first", profile=fleet_profile.device), clone(app))
+        built = count_partitions(monkeypatch)
+        modelled = count_calls(monkeypatch, fleet_module, "modelled_user_cost")
+        admission = fleet.admit(
+            MobileDevice("new", profile=fleet_profile.device),
+            clone(app),
+            sla=UserSLA(deadline=1e6),
+        )
+        assert admission.server_id is not None
+        assert admission.cache_hit is cached  # affinity: same app, same server
+        assert len(modelled) == 4
+        assert built.count("new") == 1
+        kept = fleet.servers[admission.server_id].planner.state.apps["new"]
+        assert all(call[2] is kept for call in modelled)
+
+    def test_cached_plan_with_other_parts_is_partitioned_afresh(self, fleet_profile):
+        """The prepared application is reused only for a plan with its
+        parts: a target cache holding a different plan under the key gets
+        an application built from that plan."""
+        fleet = EdgeFleet(2, fleet_profile.server_capacity_per_user * 2)
+        filler = synthesize_application("filler", n_functions=20, seed=1)
+        fleet.admit(MobileDevice("filler", profile=fleet_profile.device), filler)
+        graph = synthesize_application("newcomer", n_functions=20, seed=9)
+        key = fleet.request_key(graph)
+        plan = make_planner("spectral").plan_user(graph)
+        whole = dataclasses.replace(
+            plan, parts=[frozenset(graph.offloadable_functions())], bisections=[]
+        )
+        fleet.servers["edge-00"].cache.put(key, plan)  # what the SLA check borrows
+        fleet.servers["edge-01"].cache.put(key, whole)  # where round-robin admits
+        admission = fleet.admit(
+            MobileDevice("new", profile=fleet_profile.device), graph, sla=UserSLA(1e6)
+        )
+        assert (admission.server_id, admission.cache_hit) == ("edge-01", True)
+        app, _ = fleet.servers["edge-01"].placement_of("new")
+        assert admission.record.plan is whole
+        assert [part.functions for part in app.parts] == whole.parts
+
+    def test_retry_of_a_still_degraded_user_neither_fingerprints_nor_plans(
+        self, fleet_profile, monkeypatch
+    ):
+        fleet = EdgeFleet(2, fleet_profile.server_capacity_per_user * 2)
+        app = synthesize_application("tight", n_functions=20, seed=5)
+        for i in range(3):
+            admission = fleet.admit(
+                MobileDevice(f"u{i}", profile=fleet_profile.device),
+                clone(app),
+                sla=UserSLA(deadline=1e-3),
+            )
+            assert admission.degraded
+        fingerprints = count_calls(monkeypatch, fleet_module, "request_fingerprint")
+        plans = count_calls(monkeypatch, OffloadingPlanner, "plan_user")
+        misses = fleet.stats().cache_misses
+        assert fleet.retry_degraded() == []
+        assert (len(fingerprints), len(plans)) == (0, 0)
+        assert fleet.stats().degraded_users == 3
+        assert fleet.stats().cache_misses == misses
+
+    def test_shared_app_prices_like_a_fresh_one_on_every_server(self, fleet_profile):
+        fleet = loaded_fleet(fleet_profile)
+        device = MobileDevice("new", profile=fleet_profile.device)
+        graph = clone(synthesize_application("newcomer", n_functions=20, seed=9))
+        plan = make_planner("spectral").plan_user(graph)
+        weights = fleet.config.objective
+        shared = PartitionedApplication("new", graph, plan.parts)
+        servers = list(fleet.servers.values())
+        assert len(servers) == 4
+        with_shared = [
+            modelled_user_cost(server, device, shared, plan, weights, rtt=0.1)
+            for server in servers
+        ]
+        fresh = [
+            modelled_user_cost(
+                server,
+                device,
+                PartitionedApplication("new", graph, plan.parts),
+                plan,
+                weights,
+                rtt=0.1,
+            )
+            for server in servers
+        ]
+        assert with_shared == fresh
+
+
+def fleet_episode_outcome():
+    """One fleet-admit-style episode: SLA admissions (loose, tight and
+    rejecting deadlines) into a 4-server affinity-routed fleet, ticking
+    every 4 arrivals and rebalancing proactively every 8.  Returns the
+    per-user ledger as float hex and the SLA report."""
+    profile = quick_profile().device
+    fleet = EdgeFleet(4, 1200.0, routing=FingerprintAffinityRouting())
+    weights = fleet.config.objective
+    # Many pinned sensor functions: parts carry several anchor flows each.
+    apps = [
+        synthesize_application(f"app{k}", n_functions=40, seed=k, sensor_fraction=0.3)
+        for k in range(3)
+    ]
+    rng = random.Random(7)
+    mix = [(1.05, "degrade")] * 4 + [(0.5, "degrade"), (0.5, "reject")]
+    for k in range(24):
+        device = MobileDevice(f"u{k:02d}", profile=profile)
+        graph = clone(apps[rng.randrange(len(apps))])
+        local = all_local_breakdown(device, graph)
+        factor, action = rng.choice(mix)
+        deadline = factor * weights.combine(local.energy, local.time)
+        fleet.admit(device, graph, sla=UserSLA(deadline, action))
+        if (k + 1) % 4 == 0:
+            fleet.tick()
+        if (k + 1) % 8 == 0:
+            fleet.rebalance(proactive=True)
+    ledger = {
+        user_id: [breakdown.energy.hex(), breakdown.time.hex()]
+        for user_id, breakdown in sorted(fleet.total_consumption().per_user.items())
+    }
+    return {"ledger": ledger, "sla": dataclasses.asdict(fleet.sla_report())}
+
+
+# Anchor traffic is summed over a set of function names, whose order
+# follows the hash seed; the ledger must not.
+_FLEET_HASH_SEED_PROBE = """
+import json
+from tests.test_forecast import fleet_episode_outcome
+print(json.dumps(fleet_episode_outcome()))
+"""
+
+
+def test_fleet_episode_independent_of_hash_seed():
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join([str(root / "src"), str(root)])
+    outcomes = []
+    for seed in ("0", "1"):
+        completed = subprocess.run(
+            [sys.executable, "-c", _FLEET_HASH_SEED_PROBE],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": pythonpath},
+            cwd=root,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        )
+        outcomes.append(json.loads(completed.stdout.splitlines()[-1]))
+    assert outcomes[0] == outcomes[1]
+    sla = outcomes[0]["sla"]
+    # The episode exercises every admission outcome.
+    assert sla["degraded"] > 0 and sla["rejections"] > 0
+    assert len(outcomes[0]["ledger"]) > sla["degraded"]
 
 
 # ----------------------------------------------------------------------

@@ -171,3 +171,71 @@ def test_greedy_lazy_equals_exhaustive(app):
     assert np.isclose(
         lazy.consumption.combined(), full.consumption.combined(), rtol=1e-9
     )
+
+
+def _reference_partition(call_graph, part_sets):
+    """The per-part construction :class:`PartitionedApplication` replaced:
+    one ``local_anchor_traffic`` scan per part, then a separate edge walk.
+    Returns ((computation, anchor) per part, inter_comm items in insertion
+    order, pinned computation)."""
+    import math
+
+    graph = call_graph.graph
+    cleaned = [frozenset(part) for part in part_sets if part]
+    parts = []
+    membership = {}
+    for index, functions in enumerate(cleaned):
+        computation = math.fsum(graph.node_weight(f) for f in functions)
+        parts.append((computation, call_graph.local_anchor_traffic(functions)))
+        for function in functions:
+            membership[function] = index
+    inter_comm = {}
+    for u, v, weight in graph.edges():
+        pu = membership.get(u)
+        pv = membership.get(v)
+        if pu is None or pv is None or pu == pv:
+            continue
+        key = (min(pu, pv), max(pu, pv))
+        inter_comm[key] = inter_comm.get(key, 0.0) + weight
+    pinned = sum(graph.node_weight(f) for f in call_graph.unoffloadable_functions())
+    return parts, list(inter_comm.items()), pinned
+
+
+@st.composite
+def sliced_call_graph(draw):
+    """A random call graph (several pinned functions, random flows) and a
+    random slicing of its offloadable functions, empty slices included."""
+    n = draw(st.integers(2, 14))
+    weights = st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)
+    flows = st.floats(1e-6, 1e3, allow_nan=False, allow_infinity=False)
+    names = [f"f{i}" for i in draw(st.permutations(range(n)))]
+    pinned = draw(st.sets(st.sampled_from(names), max_size=n - 1))
+    fcg = FunctionCallGraph("prop")
+    for name in names:
+        fcg.add_function(name, computation=draw(weights), offloadable=name not in pinned)
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1 :]]
+    # Repeated pairs accumulate, as repeated call sites do.
+    for u, v in draw(st.lists(st.sampled_from(pairs), max_size=3 * n)):
+        if draw(st.booleans()):
+            u, v = v, u
+        fcg.add_data_flow(u, v, draw(flows))
+    offloadable = fcg.offloadable_functions()
+    n_slices = draw(st.integers(1, len(offloadable) + 1))
+    slices = [set() for _ in range(n_slices)]
+    for name in offloadable:
+        slices[draw(st.integers(0, n_slices - 1))].add(name)
+    return fcg, slices
+
+
+@given(sliced_call_graph())
+@settings(max_examples=150, deadline=None)
+def test_partition_build_matches_reference(case):
+    """The one-pass build reproduces the per-part build exactly: part
+    weights, anchor traffic, inter-part traffic (keys in the same
+    insertion order) and the pinned computation."""
+    fcg, slices = case
+    app = PartitionedApplication("u1", fcg, slices)
+    parts, inter_comm, pinned = _reference_partition(fcg, slices)
+    assert [(p.computation, p.anchor_traffic) for p in app.parts] == parts
+    assert list(app.inter_comm.items()) == inter_comm
+    assert app.pinned_computation == pinned
