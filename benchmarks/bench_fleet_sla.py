@@ -7,7 +7,11 @@ Not pytest-collected (``testpaths = ["tests"]``) — run it directly:
 The trace engineers the failure mode the forecast subsystem exists to
 prevent.  A heterogeneous pool (two big servers, one tiny one) receives
 one affinity-pinned hot application, so every arrival lands on the same
-big server and its utilisation climbs tick by tick.  Every user carries
+big server and its utilisation climbs tick by tick.  Which server owns
+the hot app is up to the hash of its request key, so the bench asks a
+probe fleet for the owner and gives the owner a big capacity, keeping
+the tiny one elsewhere (:func:`arrange_capacities`); it then checks that
+every arrival did land on the owner.  Every user carries
 a :class:`~repro.forecast.sla.UserSLA` deadline calibrated from a solo
 probe admission.  After each admission tick one arm rebalances
 *reactively* (``cost_aware=False``: flatten user counts, blind to
@@ -66,10 +70,32 @@ def calibrate_deadline(app, profile, capacity: float, margin: float) -> tuple[fl
     return solo, margin * solo
 
 
+def arrange_capacities(app, profile, capacities: list[float]) -> tuple[str, list[float]]:
+    """(owner, capacities with the largest one on the hot app's owner).
+
+    Affinity routing picks the owner from the request key and the server
+    ids alone, so a probe fleet with as many servers names it; swapping
+    the owner's capacity with the largest keeps the tiny trap server off
+    the path every arrival takes.
+    """
+    probe = EdgeFleet(
+        capacities=[1.0] * len(capacities), routing=FingerprintAffinityRouting()
+    )
+    owner = probe.admit(
+        MobileDevice("probe", profile=profile.device), fresh_graph(app)
+    ).server_id
+    index = list(probe.servers).index(owner)
+    arranged = list(capacities)
+    biggest = arranged.index(max(arranged))
+    arranged[index], arranged[biggest] = arranged[biggest], arranged[index]
+    return owner, arranged
+
+
 def run_arm(
     mode: str,
     app,
     profile,
+    owner: str,
     capacities: list[float],
     n_users: int,
     ticks: int,
@@ -90,11 +116,16 @@ def run_arm(
     for tick in range(ticks):
         batch = per_tick + (n_users % ticks if tick == ticks - 1 else 0)
         for _ in range(batch):
-            fleet.admit(
+            admission = fleet.admit(
                 MobileDevice(f"u{admitted}", profile=profile.device),
                 fresh_graph(app),
                 sla=sla,
             )
+            if admission.server_id != owner:
+                raise RuntimeError(
+                    f"the hot app must land on its owner {owner}: user u{admitted} "
+                    f"went to {admission.server_id}"
+                )
             admitted += 1
         if mode == "reactive":
             fleet.rebalance(cost_aware=False)
@@ -139,7 +170,8 @@ def main(argv: list[str] | None = None) -> int:
         "--capacities",
         type=str,
         default="2000,120,2000",
-        help="per-server capacities; the tiny middle server is the trap",
+        help="per-server capacities; the largest goes to the hot app's owner "
+        "and the tiny one is the trap",
     )
     parser.add_argument(
         "--margin",
@@ -159,6 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         quick_profile(), distinct_graphs=4, multiuser_graph_size=args.graph_size
     )
     app = synthesize_application("hot", n_functions=args.graph_size, seed=args.seed)
+    owner, capacities = arrange_capacities(app, profile, capacities)
     solo, deadline = calibrate_deadline(app, profile, max(capacities), args.margin)
 
     arms = {
@@ -166,6 +199,7 @@ def main(argv: list[str] | None = None) -> int:
             mode,
             app,
             profile,
+            owner,
             capacities,
             args.users,
             args.ticks,
@@ -202,6 +236,7 @@ def main(argv: list[str] | None = None) -> int:
             "ticks": args.ticks,
             "graph_size": args.graph_size,
             "capacities": capacities,
+            "hot_owner": owner,
             "margin": args.margin,
             "forecaster": args.forecaster,
             "horizon": args.horizon,

@@ -33,12 +33,6 @@ from repro.callgraph.offloadability import (
     OffloadabilityPolicy,
     classify_offloadability,
 )
-from repro.callgraph.textformat import (
-    format_call_graph_text,
-    load_call_graph_text,
-    parse_call_graph_text,
-    save_call_graph_text,
-)
 
 __all__ = [
     "Opcode",
@@ -53,8 +47,4 @@ __all__ = [
     "FunctionInfo",
     "OffloadabilityPolicy",
     "classify_offloadability",
-    "parse_call_graph_text",
-    "format_call_graph_text",
-    "load_call_graph_text",
-    "save_call_graph_text",
 ]

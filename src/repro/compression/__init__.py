@@ -20,7 +20,6 @@ from repro.compression.labels import (
     ThresholdRule,
 )
 from repro.compression.merge import CompressedGraph, merge_labeled_graph
-from repro.compression.parallel import compress_components_parallel
 from repro.compression.quality import (
     compression_quality,
     internalized_traffic_fraction,
@@ -47,7 +46,6 @@ __all__ = [
     "TerminationCriteria",
     "CompressedGraph",
     "merge_labeled_graph",
-    "compress_components_parallel",
     "compression_quality",
     "internalized_traffic_fraction",
     "weighted_modularity",

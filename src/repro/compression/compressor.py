@@ -5,7 +5,7 @@ termination criteria and node merging, and adds the component split: the
 input graph is divided on connected-component boundaries ("component
 boundaries" in the paper — our workload generators emit one connected
 piece per application component) and each piece is compressed
-independently, optionally in parallel.
+independently, in component order.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ class CompressionConfig:
     threshold_rule: ThresholdRule = field(default_factory=QuantileThreshold)
     termination: TerminationCriteria = field(default_factory=TerminationCriteria)
     policy: TraversalPolicy = TraversalPolicy.BFS
-    parallel: bool = False
-    max_workers: int | None = None
 
 
 @dataclass
@@ -69,37 +67,24 @@ class GraphCompressor:
         self.config = config or CompressionConfig()
 
     def compress(self, graph: WeightedGraph) -> CompressionResult:
-        """Compress *graph*, splitting on component boundaries first."""
-        if self.config.parallel:
-            # Local import keeps the serial path free of executor machinery.
-            from repro.compression.parallel import compress_components_parallel
+        """Compress *graph*, splitting on component boundaries first.
 
-            return compress_components_parallel(
-                graph, self.config, max_workers=self.config.max_workers
-            )
-        return self.compress_serial(graph)
-
-    def compress_serial(self, graph: WeightedGraph) -> CompressionResult:
-        """Single-threaded compression (reference implementation)."""
-        components = connected_components(graph)
+        Each component's labels are offset past the previous component's,
+        so labels never collide across components.
+        """
+        propagation = LabelPropagation(
+            threshold_rule=self.config.threshold_rule,
+            termination=self.config.termination,
+            policy=self.config.policy,
+        )
         reports: list[PropagationReport] = []
         labels: dict[NodeId, int] = {}
         label_offset = 0
-        for component in components:
-            subgraph = graph.subgraph(component)
-            report = self._propagate(subgraph)
+        for component in connected_components(graph):
+            report = propagation.run(graph.subgraph(component))
             reports.append(report)
             for node, label in report.labels.items():
                 labels[node] = label + label_offset
             label_offset += max(report.labels.values(), default=-1) + 1
         compressed = merge_labeled_graph(graph, labels)
         return CompressionResult(compressed=compressed, component_reports=reports)
-
-    def _propagate(self, subgraph: WeightedGraph) -> PropagationReport:
-        """Run one component's label propagation."""
-        propagation = LabelPropagation(
-            threshold_rule=self.config.threshold_rule,
-            termination=self.config.termination,
-            policy=self.config.policy,
-        )
-        return propagation.run(subgraph)

@@ -15,7 +15,6 @@ from repro.distributed.cluster import ClusterStats, LocalCluster
 from repro.distributed.executor import SerialExecutor, TaskExecutor, ThreadedExecutor
 from repro.distributed.matrix import BlockMatrix
 from repro.distributed.rdd import RDD
-from repro.distributed.spark_compression import ClusterCompressor
 from repro.distributed.spark_spectral import DistributedFiedlerSolver
 
 __all__ = [
@@ -26,6 +25,5 @@ __all__ = [
     "ThreadedExecutor",
     "RDD",
     "BlockMatrix",
-    "ClusterCompressor",
     "DistributedFiedlerSolver",
 ]

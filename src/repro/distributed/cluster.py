@@ -7,7 +7,7 @@ and hands out :class:`~repro.distributed.rdd.RDD` datasets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Sequence
 from typing import TypeVar
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.core.baselines import make_planner
-from repro.mec.devices import DeviceProfile, EdgeServer, MobileDevice
+from repro.mec.devices import EdgeServer, MobileDevice
 from repro.mec.system import MECSystem, UserContext
 from repro.workloads.applications import call_graph_from_weighted_graph
 from repro.workloads.netgen import NetgenConfig, netgen_graph

@@ -438,7 +438,6 @@ class EdgeFleet:
 
         template = make_planner(strategy, config)
         self._template = template
-        self.strategy_name = template.strategy_name
         self.config = template.config
         self.routing = routing or RoundRobinRouting()
         self.metrics = metrics or MetricsRegistry()
@@ -477,8 +476,15 @@ class EdgeFleet:
     # Admission
     # ------------------------------------------------------------------
     def request_key(self, graph: FunctionCallGraph) -> str:
-        """The content fingerprint used for routing and plan caching."""
-        return request_fingerprint(graph, self.config, self.strategy_name)
+        """The content fingerprint used for routing and plan caching.
+
+        It hashes the graph alone, with no config and no strategy: every
+        server plans with the fleet's one config and strategy into a
+        cache private to the fleet, so within a fleet the content names
+        the plan, and a config schema change does not move users
+        between servers.
+        """
+        return request_fingerprint(graph)
 
     def _eligible(self) -> list[FleetServer]:
         cap = self.max_users_per_server

@@ -14,7 +14,6 @@ from repro.mec.admission import (
     QueueTheoreticAllocation,
     ServerAllocation,
 )
-from repro.mec.battery import BatteryModel
 from repro.mec.channel import (
     ChannelQuality,
     SharedChannel,
@@ -80,7 +79,6 @@ __all__ = [
     "solo_offload_set",
     "validate_scheme",
     "ValidationResult",
-    "BatteryModel",
     "OnlinePlanner",
     "AdmissionRecord",
     "regret_vs_offline",

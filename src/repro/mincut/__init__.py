@@ -9,7 +9,6 @@ algorithm and the Stoer-Wagner global minimum cut.
 
 from repro.mincut.dinic import dinic_max_flow
 from repro.mincut.edmonds_karp import MaxFlowResult, edmonds_karp
-from repro.mincut.gomory_hu import GomoryHuTree, gomory_hu_tree
 from repro.mincut.karger import KargerResult, karger_min_cut
 from repro.mincut.residual import ResidualNetwork
 from repro.mincut.st_selection import maxflow_bisect, select_source_sink
@@ -23,8 +22,6 @@ __all__ = [
     "stoer_wagner_min_cut",
     "select_source_sink",
     "maxflow_bisect",
-    "gomory_hu_tree",
-    "GomoryHuTree",
     "karger_min_cut",
     "KargerResult",
 ]

@@ -24,7 +24,6 @@ from repro.simulation.events import EventQueue
 from repro.simulation.faults import BandwidthChange, Fault, ServerDegradation, ServerOutage
 from repro.simulation.report import SimulationReport, UserTimeline
 from repro.simulation.scenario import Scenario, ScenarioComparison, compare_scenarios
-from repro.simulation.tracing import SimulationTrace, TraceEntry, traced_simulation
 
 __all__ = [
     "SimulationEngine",
@@ -39,7 +38,4 @@ __all__ = [
     "Scenario",
     "ScenarioComparison",
     "compare_scenarios",
-    "traced_simulation",
-    "SimulationTrace",
-    "TraceEntry",
 ]

@@ -8,8 +8,7 @@ vector) encodes the bisection.  This package provides:
   against numpy/scipy in the test suite;
 * a :class:`FiedlerSolver` with dense, sparse, power, lanczos and
   distributed backends;
-* spectral bisection (the ``split`` of Algorithm 2) and a k-way spectral
-  clustering extension;
+* spectral bisection (the ``split`` of Algorithm 2);
 * the Theorem 2 quadratic-form identity used by the property tests.
 """
 
@@ -20,7 +19,6 @@ from repro.spectral.cheeger import (
     normalized_lambda2,
     sweep_cut,
 )
-from repro.spectral.clustering import kmeans, spectral_clustering
 from repro.spectral.eigen import (
     dominant_eigenpair,
     power_iteration,
@@ -50,8 +48,6 @@ __all__ = [
     "sweep_cut",
     "graph_conductance",
     "normalized_lambda2",
-    "spectral_clustering",
-    "kmeans",
     "cut_value_quadratic_form",
     "indicator_vector",
     "rayleigh_quotient",

@@ -42,9 +42,9 @@ class RandomSource:
     """A seeded pseudo-random stream with convenience helpers.
 
     Wraps :class:`random.Random` so that callers never touch the global
-    random state. ``spawn`` creates an independent child stream, which is
-    how per-component parallel label propagation stays deterministic
-    regardless of scheduling order.
+    random state. ``spawn`` creates an independent child stream keyed by
+    labels, so each consumer (a generator, a channel draw, a game round)
+    gets a reproducible stream that does not depend on call order.
     """
 
     def __init__(self, seed: int | None = None) -> None:

@@ -1,7 +1,5 @@
 """Tests for the claims ledger."""
 
-import pytest
-
 from repro.experiments.claims import CLAIMS, ClaimResult, verify_claims
 from repro.workloads.profiles import ExperimentProfile
 

@@ -9,14 +9,13 @@ from repro.compression.labels import (
     QuantileThreshold,
 )
 from repro.compression.merge import merge_labeled_graph
-from repro.compression.parallel import compress_components_parallel
 from repro.compression.propagation import (
     LabelPropagation,
     TraversalPolicy,
     select_starter,
 )
 from repro.compression.termination import TerminationCriteria
-from repro.graphs.generators import path_graph, two_cluster_graph
+from repro.graphs.generators import two_cluster_graph
 from repro.graphs.weighted_graph import WeightedGraph
 
 
@@ -215,28 +214,6 @@ class TestCompressor:
         compressed = result.compressed
         assert compressed.graph.node_count == 2
         assert compressed.expand([compressed.super_node_of(0)]) == {0, 1}
-
-    def test_parallel_matches_serial(self):
-        g = WeightedGraph()
-        offset = 0
-        for _ in range(3):
-            cluster = two_cluster_graph(4)
-            for node in cluster.nodes():
-                g.add_node(offset + node, weight=cluster.node_weight(node))
-            for u, v, w in cluster.edges():
-                g.add_edge(offset + u, offset + v, weight=w)
-            offset += cluster.node_count
-
-        config = CompressionConfig(threshold_rule=AbsoluteThreshold(5.0))
-        serial = GraphCompressor(config).compress_serial(g)
-        parallel = compress_components_parallel(g, config, max_workers=3)
-        assert serial.compressed.clusters == parallel.compressed.clusters
-        assert serial.compressed.graph.edge_list() == parallel.compressed.graph.edge_list()
-
-    def test_parallel_flag_in_config(self, clusters):
-        config = CompressionConfig(parallel=True, max_workers=2)
-        result = GraphCompressor(config).compress(clusters)
-        assert result.compressed.graph.node_count >= 1
 
     def test_compression_keeps_cut_reachable(self):
         """Compression must not change the weight of the cluster cut."""

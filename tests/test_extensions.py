@@ -1,14 +1,7 @@
-"""Tests for the extension features: queueing admission, call-graph text
-format, RDD additions."""
+"""Tests for the extension features: queueing admission, RDD additions."""
 
 import pytest
 
-from repro.callgraph.textformat import (
-    format_call_graph_text,
-    load_call_graph_text,
-    parse_call_graph_text,
-    save_call_graph_text,
-)
 from repro.distributed.cluster import LocalCluster
 from repro.mec.admission import QueueTheoreticAllocation
 from repro.mec.devices import EdgeServer
@@ -61,93 +54,6 @@ class TestQueueTheoreticAllocation:
         )
         result = make_planner("spectral").plan_system(system, {"u1": small_call_graph})
         assert result.consumption.energy > 0.0
-
-
-EXAMPLE_TEXT = """
-# demo application
-app photo-assistant
-func main ui 5.0 pinned
-func decode media 120.0
-func upload net 2.5
-flow main decode 10.0
-flow decode upload 3.0
-flow main decode 2.0
-"""
-
-
-class TestTextFormat:
-    def test_parse_basic(self):
-        fcg = parse_call_graph_text(EXAMPLE_TEXT.splitlines())
-        assert fcg.app_name == "photo-assistant"
-        assert fcg.function_count == 3
-        assert not fcg.info("main").offloadable
-        assert fcg.info("decode").computation == 120.0
-        # Repeated flows accumulate.
-        assert fcg.graph.edge_weight("main", "decode") == 12.0
-
-    def test_roundtrip(self):
-        original = parse_call_graph_text(EXAMPLE_TEXT.splitlines())
-        text = format_call_graph_text(original)
-        rebuilt = parse_call_graph_text(text.splitlines())
-        assert rebuilt.app_name == original.app_name
-        assert set(rebuilt.functions()) == set(original.functions())
-        assert rebuilt.graph.edge_weight("decode", "upload") == pytest.approx(3.0)
-        assert rebuilt.info("main").offloadable == original.info("main").offloadable
-
-    def test_file_roundtrip(self, tmp_path):
-        fcg = parse_call_graph_text(EXAMPLE_TEXT.splitlines())
-        path = tmp_path / "app.cg"
-        save_call_graph_text(fcg, path)
-        loaded = load_call_graph_text(path)
-        assert loaded.function_count == 3
-
-    @pytest.mark.parametrize(
-        "bad,message",
-        [
-            ("func onlyname", "expected 'func"),
-            ("func a ui notanumber", "bad computation"),
-            ("func a ui 1.0 sticky", "unknown flag"),
-            ("flow a b", "expected 'flow"),
-            ("warp a b 1.0", "unknown keyword"),
-        ],
-    )
-    def test_malformed_lines_rejected(self, bad, message):
-        with pytest.raises(ValueError, match=message):
-            parse_call_graph_text(["func ok ui 1.0", bad])
-
-    def test_duplicate_function_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            parse_call_graph_text(["func a ui 1.0", "func a ui 2.0"])
-
-    def test_undeclared_flow_endpoint_rejected(self):
-        with pytest.raises(ValueError, match="undeclared"):
-            parse_call_graph_text(["func a ui 1.0", "flow a ghost 2.0"])
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError, match="no functions"):
-            parse_call_graph_text(["# nothing here"])
-
-    def test_parsed_graph_plans_end_to_end(self):
-        from repro.core import PlannerConfig, make_planner
-        from repro.mec.devices import DeviceProfile, MobileDevice
-        from repro.mec.system import MECSystem, UserContext
-
-        fcg = parse_call_graph_text(EXAMPLE_TEXT.splitlines())
-        device = MobileDevice(
-            "u1",
-            profile=DeviceProfile(
-                compute_capacity=10.0, power_compute=1.0, power_transmit=4.0, bandwidth=100.0
-            ),
-        )
-        system = MECSystem(EdgeServer(500.0), [UserContext(device, fcg)])
-        # 'decode' touches the pinned 'main', so the paper-default
-        # anchored seeding keeps it on the device; the 'dominated' mode
-        # lets its computation weight argue for shipping it.
-        config = PlannerConfig(initial_placement_mode="dominated")
-        result = make_planner("spectral", config=config).plan_system(
-            system, {"u1": fcg}
-        )
-        assert "decode" in result.scheme.remote_for("u1")  # heavy, cheap to ship
 
 
 class TestRDDAdditions:

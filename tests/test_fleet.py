@@ -28,6 +28,7 @@ from repro.fleet import (
     handle_outage,
     make_routing_policy,
 )
+from repro.core import PlannerConfig
 from repro.mec.devices import MobileDevice
 from repro.simulation import ServerOutage
 from repro.workloads import synthesize_application
@@ -38,10 +39,19 @@ from repro.workloads.traces import (
     call_graph_to_dict,
     replay_arrivals,
 )
+from tests.test_service import golden_graphs
 
 POOL_SIZE = 4
 REQUESTS = 24
 SERVERS = 4
+
+# EdgeFleet.request_key of tests/test_service.py's golden graphs.  Affinity
+# routing hashes these keys, so a moved digest moves users between servers.
+GOLDEN_FLEET_KEYS = {
+    "chain": "42593b4df41ad74731d02f83ffc8b7154b200241a81eaabe5c551b7faf3bebfd",
+    "odd": "39ed2d2fe557addc80741948d2b080eb9cd06889a4eb910095247d4d122238d5",
+    "pinned": "0d51fe5b287b35461f298a46522edf135503d957aab78294bcb1fb30abfd0bf0",
+}
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +206,34 @@ class TestFleetAdmission:
         sharded_rate = sharded.stats().cache_hit_rate
         assert single_rate == pytest.approx((REQUESTS - POOL_SIZE) / REQUESTS)
         assert sharded_rate >= single_rate - 0.10
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FLEET_KEYS))
+    def test_request_key_matches_golden(self, name):
+        graph = golden_graphs()[name]
+        assert EdgeFleet().request_key(graph) == GOLDEN_FLEET_KEYS[name]
+        assert EdgeFleet(config=PlannerConfig(refine_cuts=True)).request_key(
+            graph
+        ) == GOLDEN_FLEET_KEYS[name]
+
+    def test_affinity_routes_on_content_not_config(self, fleet_profile):
+        """A fleet's planner config does not decide which server owns an
+        app: every app lands where a default-config fleet puts it."""
+        apps = [
+            synthesize_application(f"app{i}", n_functions=15, seed=i) for i in range(12)
+        ]
+
+        def owners(config):
+            fleet = make_fleet(
+                fleet_profile, FingerprintAffinityRouting(), users=48, config=config
+            )
+            return [
+                fleet.admit(MobileDevice(f"u{i}", profile=fleet_profile.device), app).server_id
+                for i, app in enumerate(apps)
+            ]
+
+        default = owners(None)
+        assert len(set(default)) > 1
+        assert owners(PlannerConfig(refine_cuts=True)) == default
 
     def test_power_of_two_keeps_load_balanced(self, fleet_profile, arrival_trace):
         """Acceptance: max/mean admitted users <= 1.5 on a uniform trace."""

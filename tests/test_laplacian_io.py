@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graphs.generators import path_graph, random_connected_graph
+from repro.graphs.generators import random_connected_graph
 from repro.graphs.io import (
     graph_from_dict,
     graph_from_edge_list,

@@ -1,6 +1,5 @@
 """Tests for graph metrics, conductance and the Cheeger machinery."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 

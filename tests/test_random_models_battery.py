@@ -1,19 +1,17 @@
-"""Tests for the random graph models, battery model, and sweep strategy."""
+"""Tests for the random graph models and sweep strategy."""
 
 import pytest
 
 from repro.core import make_planner
 from repro.graphs.components import largest_component
-from repro.graphs.metrics import average_clustering, average_degree
+from repro.graphs.metrics import average_clustering
 from repro.graphs.random_models import (
     barabasi_albert_graph,
     erdos_renyi_graph,
     watts_strogatz_graph,
 )
 from repro.graphs.validation import check_graph_invariants
-from repro.mec.battery import BatteryModel
 from repro.mec.devices import EdgeServer, MobileDevice
-from repro.mec.energy import ConsumptionBreakdown
 from repro.mec.system import MECSystem, UserContext
 from repro.workloads.applications import call_graph_from_weighted_graph
 
@@ -116,66 +114,3 @@ class TestTopologyRobustness:
 
         assert validate_scheme(system, {"u1": app}, result.scheme).ok
         assert result.consumption.energy > 0.0
-
-
-class TestBattery:
-    def consumption(self, energy: float) -> ConsumptionBreakdown:
-        return ConsumptionBreakdown(
-            local_energy=energy * 0.8,
-            transmission_energy=energy * 0.2,
-            local_time=1.0,
-            remote_time=0.0,
-            transmission_time=0.0,
-            waiting_time=0.0,
-        )
-
-    def test_drain_and_feasibility(self):
-        battery = BatteryModel(capacity=100.0, reserve_fraction=0.1)
-        usage = self.consumption(30.0)
-        assert battery.drain_fraction(usage) == pytest.approx(0.3)
-        assert battery.is_feasible(usage)  # 30 <= 90 usable
-        assert not battery.is_feasible(usage, charge_fraction=0.35)  # 25 avail
-
-    def test_runs_per_charge(self):
-        battery = BatteryModel(capacity=100.0, reserve_fraction=0.1)
-        assert battery.runs_per_charge(self.consumption(30.0)) == 3
-        assert battery.runs_per_charge(self.consumption(91.0)) == 0
-
-    def test_lifetime_gain(self):
-        battery = BatteryModel(capacity=100.0)
-        gain = battery.lifetime_gain(self.consumption(20.0), self.consumption(50.0))
-        assert gain == pytest.approx(2.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BatteryModel(capacity=0.0)
-        with pytest.raises(ValueError):
-            BatteryModel(capacity=10.0, reserve_fraction=1.5)
-        battery = BatteryModel(capacity=10.0)
-        with pytest.raises(ValueError):
-            battery.runs_per_charge(self.consumption(0.0))
-
-    def test_offloading_extends_lifetime_end_to_end(self):
-        """The paper's motivating claim, measured on a real plan."""
-        from repro.mec.scheme import PartitionedApplication
-        from repro.workloads.applications import synthesize_application
-
-        app = synthesize_application("battery", n_functions=60, seed=41)
-        from repro.mec.devices import DeviceProfile
-
-        device = MobileDevice(
-            "u1",
-            profile=DeviceProfile(
-                compute_capacity=10.0, power_compute=2.0, power_transmit=4.0, bandwidth=100.0
-            ),
-        )
-        system = MECSystem(EdgeServer(500.0), [UserContext(device, app)])
-        result = make_planner("spectral").plan_system(system, {"u1": app})
-        papp = PartitionedApplication("u1", app, result.user_plans["u1"].parts)
-        all_local = system.evaluate_placement({"u1": papp}, {"u1": set()})
-
-        battery = BatteryModel(capacity=10_000.0)
-        gain = battery.lifetime_gain(
-            result.consumption.per_user["u1"], all_local.per_user["u1"]
-        )
-        assert gain > 1.0

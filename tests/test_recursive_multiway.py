@@ -8,7 +8,6 @@ from repro.core.planner import OffloadingPlanner
 from repro.graphs.generators import (
     path_graph,
     random_connected_graph,
-    two_cluster_graph,
 )
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.mec.devices import DeviceProfile, EdgeServer, MobileDevice

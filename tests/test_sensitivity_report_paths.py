@@ -12,7 +12,6 @@ from repro.experiments.sensitivity import (
 from repro.graphs.generators import path_graph, random_connected_graph, two_cluster_graph
 from repro.graphs.paths import (
     dijkstra_distances,
-    inverse_weight_length,
     shortest_path,
     unit_length,
     weighted_farthest_node,

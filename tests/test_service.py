@@ -132,20 +132,22 @@ def golden_graphs() -> dict[str, FunctionCallGraph]:
     return {"pinned": pinned, "chain": chain, "odd": odd}
 
 
-# Recorded before graph_fingerprint's canonical rows were rebuilt for
-# speed; affinity routing hashes these digests, so they must not move.
+# (content, request) digests.  The content digests must not move: they
+# name cached plans, and the fleet routes on them (tests/test_fleet.py pins
+# its keys).  The request digests also hash PlannerConfig, so a change to
+# its schema moves them and they are re-recorded with it.
 GOLDEN_FINGERPRINTS = {
     "pinned": (
         "4cbc1d002c9c972d2ccb739f77d17d80f030585acf5a8792e8e32bcc67035b6d",
-        "57cd2576df4d249961ba768005ca7d2788fd7eedfd0635f5fff70304745b8c0d",
+        "e916b419a159d544d34675cb702991b36c4e9b358805353c668df7e7103f3ebc",
     ),
     "chain": (
         "fc57b8076e24bda777413c744fdd74044e1df4ce88f982611de7c58f4b9b865f",
-        "07268fe1aa8717b5655f55a837544b111b22e52623d09a1efdad1618480cbb9c",
+        "401828226e7392c15017bc77c08567d851da3d5b5278e34e8e2794ff4e268524",
     ),
     "odd": (
         "cc8334748ab6fc1b73402cbad51421244216f9d9fcecf5d82042980a8e58092f",
-        "269d0030231ad7738c8a1a433f9ed7b01b8152878c96913ef5568d492545b4ef",
+        "b5379eccf4cb29cdaf58c4299fa266fee789d203c73142b64a086b93b9dc6e32",
     ),
 }
 

@@ -11,13 +11,12 @@ from repro.graphs.generators import (
 from repro.graphs.laplacian import laplacian_matrix
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.spectral.bisection import spectral_bisect
-from repro.spectral.clustering import kmeans, spectral_clustering
 from repro.spectral.eigen import (
     dominant_eigenpair,
     gershgorin_bound,
     smallest_nontrivial_laplacian_eigenpair,
 )
-from repro.spectral.fiedler import FiedlerMethod, FiedlerSolver
+from repro.spectral.fiedler import FiedlerSolver
 from repro.spectral.lanczos import lanczos_smallest_nontrivial
 from repro.spectral.theory import (
     cut_value_quadratic_form,
@@ -227,34 +226,3 @@ class TestTheory:
     def test_rayleigh_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             rayleigh_quotient(np.eye(3), np.zeros(3))
-
-
-class TestClustering:
-    def test_kmeans_separates_blobs(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(0.0, 0.1, size=(20, 2))
-        b = rng.normal(5.0, 0.1, size=(20, 2))
-        labels = kmeans(np.vstack([a, b]), k=2, seed=1)
-        assert len(set(labels[:20])) == 1
-        assert len(set(labels[20:])) == 1
-        assert labels[0] != labels[20]
-
-    def test_kmeans_k_geq_n(self):
-        labels = kmeans(np.zeros((3, 2)), k=5)
-        assert len(labels) == 3
-
-    def test_kmeans_invalid_k(self):
-        with pytest.raises(ValueError):
-            kmeans(np.zeros((3, 2)), k=0)
-
-    def test_spectral_clustering_two_clusters(self):
-        g = two_cluster_graph(5, intra_weight=10.0, bridge_weight=0.2)
-        assignment = spectral_clustering(g, k=2, seed=1)
-        left = {assignment[n] for n in range(5)}
-        right = {assignment[n] for n in range(5, 10)}
-        assert len(left) == 1 and len(right) == 1 and left != right
-
-    def test_spectral_clustering_k1(self):
-        g = path_graph(5)
-        assignment = spectral_clustering(g, k=1)
-        assert set(assignment.values()) == {0}

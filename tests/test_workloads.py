@@ -10,7 +10,7 @@ from repro.workloads.applications import (
 )
 from repro.workloads.multiuser import build_mec_system
 from repro.workloads.netgen import NetgenConfig, netgen_graph, paper_network_configs
-from repro.workloads.profiles import ExperimentProfile, paper_profile, quick_profile
+from repro.workloads.profiles import paper_profile, quick_profile
 
 
 class TestNetgen:
