@@ -70,7 +70,12 @@ class GraphCompressor:
         """Compress *graph*, splitting on component boundaries first.
 
         Each component's labels are offset past the previous component's,
-        so labels never collide across components.
+        so labels never collide across components.  Each component is
+        propagated over its :meth:`~repro.graphs.weighted_graph.WeightedGraph.subgraph`
+        copy, whose neighbour order the traversal follows.  A one-component
+        graph already in that order — every graph ``subgraph`` builds, so
+        every planner input — is propagated in place: the copy would
+        reproduce it exactly.
         """
         propagation = LabelPropagation(
             threshold_rule=self.config.threshold_rule,
@@ -80,8 +85,10 @@ class GraphCompressor:
         reports: list[PropagationReport] = []
         labels: dict[NodeId, int] = {}
         label_offset = 0
-        for component in connected_components(graph):
-            report = propagation.run(graph.subgraph(component))
+        components = connected_components(graph)
+        in_place = len(components) == 1 and graph.in_subgraph_order()
+        for component in components:
+            report = propagation.run(graph if in_place else graph.subgraph(component))
             reports.append(report)
             for node, label in report.labels.items():
                 labels[node] = label + label_offset

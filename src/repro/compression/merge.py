@@ -1,8 +1,9 @@
 """Node merging: turning a labeled graph into its compressed graph.
 
 The paper's compression rule: "Any two nodes which are in the same cluster
-and are connected directly will be merged into one node."  Merging is thus
-a union-find over *monochromatic edges* (same label on both ends); each
+and are connected directly will be merged into one node."  Merging thus
+fuses the connected pieces of the *monochromatic edges* (same label on
+both ends), found with one walk over same-label neighbours; each
 resulting super-node carries the summed computation weight of its members,
 and parallel edges between super-nodes accumulate their communication
 weights.  Intra-super-node edges vanish — that traffic can never be cut,
@@ -18,30 +19,7 @@ from repro.graphs.weighted_graph import WeightedGraph
 
 NodeId = Hashable
 
-
-class _UnionFind:
-    """Minimal union-find with path compression and union by size."""
-
-    def __init__(self, items: Iterable[NodeId]) -> None:
-        self._parent: dict[NodeId, NodeId] = {item: item for item in items}
-        self._size: dict[NodeId, int] = {item: 1 for item in self._parent}
-
-    def find(self, item: NodeId) -> NodeId:
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:
-            self._parent[item], item = root, self._parent[item]
-        return root
-
-    def union(self, a: NodeId, b: NodeId) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
+_INF = float("inf")
 
 
 @dataclass
@@ -96,41 +74,64 @@ def merge_labeled_graph(graph: WeightedGraph, labels: dict[NodeId, int]) -> Comp
     """Compress *graph* under the given label assignment.
 
     Every node must be labeled.  Two nodes merge iff they share a label
-    *and* are connected (possibly transitively through same-label edges) —
-    i.e. union-find over monochromatic edges, per the paper's rule.
+    *and* are connected (possibly transitively through same-label edges),
+    per the paper's rule.  One walk over same-label neighbours finds each
+    cluster, started from its first member in insertion order, so cluster
+    ids follow that order.  Super-edges accumulate in
+    :meth:`~repro.graphs.weighted_graph.WeightedGraph.edges` order.
     """
     for node in graph.nodes():
         if node not in labels:
             raise ValueError(f"node {node!r} has no label")
 
-    uf = _UnionFind(graph.nodes())
-    for u, v, _ in graph.edges():
-        if labels[u] == labels[v]:
-            uf.union(u, v)
-
-    # Assign dense ids in insertion order of the first member seen.
-    root_to_id: dict[NodeId, int] = {}
+    cluster_of: dict[NodeId, int] = {}
     clusters: list[set[NodeId]] = []
     for node in graph.nodes():
-        root = uf.find(node)
-        if root not in root_to_id:
-            root_to_id[root] = len(clusters)
-            clusters.append(set())
-        clusters[root_to_id[root]].add(node)
+        if node in cluster_of:
+            continue
+        cluster_id = len(clusters)
+        label = labels[node]
+        cluster_of[node] = cluster_id
+        stack = [node]
+        while stack:
+            for neighbor in graph.neighbors(stack.pop()):
+                if neighbor not in cluster_of and labels[neighbor] == label:
+                    cluster_of[neighbor] = cluster_id
+                    stack.append(neighbor)
+        clusters.append(set())
+    # Members join their set in insertion order, as the sets' iteration
+    # order (and so the float sums below) depends on it.
+    for node in graph.nodes():
+        clusters[cluster_of[node]].add(node)
 
-    compressed = WeightedGraph()
-    for i, cluster in enumerate(clusters):
+    # Each stored weight is finite, but a sum of them may not be; refuse
+    # it here as the public builders would.
+    node_weights: dict[NodeId, float] = {}
+    for cluster_id, cluster in enumerate(clusters):
         weight = sum(graph.node_weight(member) for member in cluster)
-        compressed.add_node(i, weight=weight, size=len(cluster))
+        if weight == _INF:
+            raise ValueError(f"super-node {cluster_id} weight overflows")
+        node_weights[cluster_id] = weight
+    adjacency: dict[NodeId, dict[NodeId, float]] = {i: {} for i in range(len(clusters))}
     for u, v, w in graph.edges():
-        cu = root_to_id[uf.find(u)]
-        cv = root_to_id[uf.find(v)]
-        if cu != cv:
-            compressed.add_edge(cu, cv, weight=w)  # accumulates parallels
+        cu = cluster_of[u]
+        cv = cluster_of[v]
+        if cu != cv:  # parallel super-edges accumulate
+            merged = adjacency[cu].get(cv, 0.0) + w
+            if merged == _INF:
+                raise ValueError(f"super-edge ({cu}, {cv}) weight overflows")
+            adjacency[cu][cv] = merged
+            adjacency[cv][cu] = merged
+    compressed = WeightedGraph._assemble(
+        node_weights,
+        {i: {"size": len(cluster)} for i, cluster in enumerate(clusters)},
+        adjacency,
+    )
 
     return CompressedGraph(
         graph=compressed,
         clusters=clusters,
         original_node_count=graph.node_count,
         original_edge_count=graph.edge_count,
+        membership=cluster_of,
     )

@@ -71,11 +71,12 @@ def select_starter(graph: WeightedGraph) -> NodeId:
 class LabelPropagation:
     """Runs the threshold-guided label propagation on one sub-graph.
 
-    Each round is a full scan of the visit order over the adjacency
-    dicts.  Propagation runs once per connected component of the
-    offloadable subgraph, and those components stay small (tens of
-    nodes even on thousand-function applications), so the plain dict
-    walk is the only kernel.
+    Each run lists every node's strong ``(neighbor, weight)`` pairs once,
+    in adjacency order; each round is then a scan of the visit order over
+    those lists.  Propagation runs once per connected component of the
+    offloadable subgraph, and those components stay small (tens of nodes
+    even on thousand-function applications), so the plain list walk is
+    the only kernel.
     """
 
     def __init__(
@@ -102,20 +103,24 @@ class LabelPropagation:
         starter = select_starter(graph)
         order = self._visit_order(graph, starter)
 
+        # Only edges above the threshold carry labels; list them once, in
+        # adjacency order, instead of re-filtering every round.
+        strong = {
+            node: [(nbr, w) for nbr, w in graph.neighbor_items(node) if w > threshold]
+            for node in order
+        }
+
         labels: dict[NodeId, int] = {}
         next_label = 0
-        label_birth: dict[int, int] = {}
-
         rounds = 0
         updates_per_round: list[int] = []
         while True:
             updates = 0
             for node in order:
-                proposed = self._propose_label(graph, node, labels, threshold, label_birth)
+                proposed = self._propose_label(strong[node], labels)
                 if proposed is None:
                     if node not in labels:
                         labels[node] = next_label
-                        label_birth[next_label] = len(label_birth)
                         next_label += 1
                         updates += 1
                     continue
@@ -153,27 +158,28 @@ class LabelPropagation:
 
     @staticmethod
     def _propose_label(
-        graph: WeightedGraph,
-        node: NodeId,
+        strong: list[tuple[NodeId, float]],
         labels: dict[NodeId, int],
-        threshold: float,
-        label_birth: dict[int, int],
     ) -> int | None:
-        """Label *node* should adopt, or ``None`` if no strong labeled neighbor.
+        """Label a node should adopt, or ``None`` if no strong labeled neighbor.
 
-        Among labeled neighbors across edges heavier than *threshold*, take
-        the label over the heaviest edge; break weight ties toward the
-        oldest label so repeated rounds converge instead of oscillating.
+        *strong* is the node's ``(neighbor, weight)`` list over edges
+        heavier than the threshold.  Among labeled neighbors, take the
+        label over the heaviest edge; break weight ties toward the oldest
+        label so repeated rounds converge instead of oscillating.  Labels
+        are born in increasing order, so the oldest is the smallest.
         """
         best_label: int | None = None
-        best_key: tuple[float, float] | None = None
-        for neighbor, weight in graph.neighbor_items(node):
-            if weight <= threshold or neighbor not in labels:
+        best_weight = 0.0
+        for neighbor, weight in strong:
+            candidate = labels.get(neighbor)
+            if candidate is None:
                 continue
-            candidate = labels[neighbor]
-            # Older labels (smaller birth index) win ties -> negate for max().
-            key = (weight, -label_birth.get(candidate, 0))
-            if best_key is None or key > best_key:
-                best_key = key
+            if (
+                best_label is None
+                or weight > best_weight
+                or (weight == best_weight and candidate < best_label)
+            ):
                 best_label = candidate
+                best_weight = weight
         return best_label

@@ -23,16 +23,11 @@ class ClusterStats:
 
     stages: int = 0
     tasks: int = 0
-    retries: int = 0
 
     def record_stage(self, task_count: int) -> None:
         """Account one stage of *task_count* tasks."""
         self.stages += 1
         self.tasks += task_count
-
-    def record_retry(self) -> None:
-        """Account one re-executed task."""
-        self.retries += 1
 
 
 class LocalCluster:
@@ -49,18 +44,10 @@ class LocalCluster:
         self,
         workers: int = 2,
         executor: TaskExecutor | None = None,
-        max_task_retries: int = 0,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if max_task_retries < 0:
-            raise ValueError(f"max_task_retries must be >= 0, got {max_task_retries}")
         self.workers = workers
-        self.max_task_retries = max_task_retries
-        """Spark-style task fault tolerance: a task raising an exception is
-        re-executed up to this many times (tasks must therefore be pure,
-        exactly like RDD lambdas); 0 disables retries and the first
-        failure propagates."""
         if executor is not None:
             self._executor = executor
         elif workers == 1:
@@ -82,33 +69,10 @@ class LocalCluster:
     def run_stage(self, tasks: Sequence[Callable[[], R]]) -> list[R]:
         """Execute one stage of independent tasks; results keep order.
 
-        With ``max_task_retries > 0`` each failing task is wrapped and
-        retried individually; after the budget is exhausted the last
-        exception propagates (the stage fails, like a Spark job abort).
+        The first task failure propagates and fails the stage.
         """
         self.stats.record_stage(len(tasks))
-        if self.max_task_retries == 0:
-            return self._executor.run_all(tasks)
-        return self._executor.run_all([self._with_retries(task) for task in tasks])
-
-    def _with_retries(self, task: Callable[[], R]) -> Callable[[], R]:
-        def resilient() -> R:
-            attempts = 0
-            while True:
-                try:
-                    return task()
-                # Broad by contract: stage tasks are pure closures over
-                # immutable partitions, so *any* failure is retryable and
-                # must be counted against the retry budget (Spark task
-                # fault-tolerance semantics).  Exhausting the budget
-                # re-raises the last exception and aborts the stage.
-                except Exception:
-                    attempts += 1
-                    if attempts > self.max_task_retries:
-                        raise
-                    self.stats.record_retry()
-
-        return resilient
+        return self._executor.run_all(tasks)
 
     def close(self) -> None:
         """Shut the cluster down (idempotent)."""

@@ -14,6 +14,13 @@ is O(V + E) with no per-edge allocation, and :meth:`~WeightedGraph.subgraph`
 walks the parent's node list once plus only the kept nodes' adjacency.  Both
 keep a fixed order — node insertion order, then each node's neighbour order —
 so every algorithm built on them is deterministic.
+
+Weights are validated once, at the public builders and mutators
+(:meth:`~WeightedGraph.add_node`, :meth:`~WeightedGraph.add_edge` including
+a parallel edge's sum, the ``set_*`` methods and
+:meth:`~WeightedGraph.merge_nodes` — and so at every HTTP and CLI input).  Derivations (:meth:`~WeightedGraph.subgraph`,
+:meth:`~WeightedGraph.copy`, the compression merge) trust their source graph
+and fill the dicts directly instead of re-checking every weight.
 """
 
 from __future__ import annotations
@@ -137,7 +144,8 @@ class WeightedGraph:
         Self-loops are rejected (a function does not transmit to itself);
         adding a parallel edge *accumulates* its weight, matching the data
         flow semantics where multiple call sites between the same pair of
-        functions add up their traffic.
+        functions add up their traffic.  A sum that overflows is rejected
+        like an infinite weight.
         """
         self._require_node(u)
         self._require_node(v)
@@ -146,6 +154,8 @@ class WeightedGraph:
         if not 0 < weight < _INF:
             raise ValueError(f"edge weight must be finite and > 0, got {weight!r}")
         new_weight = self._adjacency[u].get(v, 0.0) + float(weight)
+        if new_weight == _INF:
+            raise ValueError(f"accumulated weight of edge ({u!r}, {v!r}) overflows")
         self._adjacency[u][v] = new_weight
         self._adjacency[v][u] = new_weight
 
@@ -257,13 +267,11 @@ class WeightedGraph:
     # Derivation
     # ------------------------------------------------------------------
     def copy(self) -> "WeightedGraph":
-        """Return a deep structural copy (metadata dicts are shallow-copied)."""
-        clone = WeightedGraph()
-        for node in self._adjacency:
-            clone.add_node(node, weight=self._node_weights[node], **self._node_data[node])
-        for u, v, w in self.edges():
-            clone.add_edge(u, v, weight=w)
-        return clone
+        """Return a deep structural copy (metadata dicts are shallow-copied).
+
+        Same order contract and cost as :meth:`subgraph` over every node.
+        """
+        return self._induced(list(self._adjacency))
 
     def subgraph(self, nodes: Iterable[NodeId]) -> "WeightedGraph":
         """Return the induced subgraph over *nodes* (unknown ids are ignored).
@@ -273,20 +281,78 @@ class WeightedGraph:
         filtering :meth:`edges` would build: nodes in this graph's
         insertion order, edges added in :meth:`edges` order, so every
         node's neighbour order matches too (label propagation and BFS
-        follow it).
+        follow it).  ``subgraph`` over all nodes of its own output is
+        therefore a fixed point.
         """
         keep = set(nodes)
-        kept = [node for node in self._adjacency if node in keep]
-        sub = WeightedGraph()
-        for node in kept:
-            sub.add_node(node, weight=self._node_weights[node], **self._node_data[node])
+        return self._induced([node for node in self._adjacency if node in keep])
+
+    def in_subgraph_order(self) -> bool:
+        """Whether :meth:`subgraph` over all nodes would reproduce this graph.
+
+        That holds iff every node lists its neighbours that come earlier in
+        insertion order first, in that order — the order :meth:`subgraph`
+        and :meth:`copy` build — so it holds for every graph they return.
+        A graph built by :meth:`add_edge` in another order may list them
+        otherwise.  O(V + E), and nothing allocated but a position map.
+        """
+        position = {node: i for i, node in enumerate(self._adjacency)}
+        for i, neighbors in enumerate(self._adjacency.values()):
+            last = -1
+            later = False
+            for v in neighbors:
+                p = position[v]
+                if p > i:
+                    later = True
+                elif later or p < last:
+                    return False
+                else:
+                    last = p
+        return True
+
+    def _induced(self, kept: list[NodeId]) -> "WeightedGraph":
+        """The induced subgraph over *kept* (nodes of this graph, in its order).
+
+        Weights are copied without re-validation: this graph only holds
+        weights that passed the public builders, so the derivation trusts
+        them and fills the dicts directly.
+        """
+        source = self._adjacency
+        adjacency: dict[NodeId, dict[NodeId, float]] = {node: {} for node in kept}
         pending = set(kept)
         for u in kept:
             pending.discard(u)
-            for v, w in self._adjacency[u].items():
+            row = adjacency[u]
+            for v, w in source[u].items():
                 if v in pending:
-                    sub.add_edge(u, v, weight=w)
-        return sub
+                    row[v] = w
+                    adjacency[v][u] = w
+        return WeightedGraph._assemble(
+            {node: self._node_weights[node] for node in kept},
+            {node: dict(self._node_data[node]) for node in kept},
+            adjacency,
+        )
+
+    @classmethod
+    def _assemble(
+        cls,
+        node_weights: dict[NodeId, float],
+        node_data: dict[NodeId, dict[str, Any]],
+        adjacency: dict[NodeId, dict[NodeId, float]],
+    ) -> "WeightedGraph":
+        """Wrap dicts that already hold this class's invariants, unchecked.
+
+        The one bulk builder for derivations (:meth:`subgraph`,
+        :meth:`copy`, the compression merge).  The caller vouches that the
+        three dicts share one key order, that node weights are finite and
+        ``>= 0``, and that *adjacency* is symmetric with finite positive
+        float weights and no self-loops.  The dicts are taken, not copied.
+        """
+        graph = cls()
+        graph._node_weights = node_weights
+        graph._node_data = node_data
+        graph._adjacency = adjacency
+        return graph
 
     def merge_nodes(self, survivor: NodeId, absorbed: NodeId) -> None:
         """Merge *absorbed* into *survivor* (the compression primitive).
@@ -294,17 +360,23 @@ class WeightedGraph:
         The survivor's computation weight becomes the sum of both weights;
         edges of the absorbed node are re-attached to the survivor with
         accumulated weights; the edge between the two (if any) disappears —
-        it becomes internal traffic that will never be cut.
+        it becomes internal traffic that will never be cut.  A sum that
+        overflows is rejected before anything changes.
         """
         self._require_node(survivor)
         self._require_node(absorbed)
         if survivor == absorbed:
             raise ValueError("cannot merge a node with itself")
-        self._node_weights[survivor] += self._node_weights[absorbed]
-        for neighbor, weight in list(self._adjacency[absorbed].items()):
-            if neighbor == survivor:
-                continue
-            merged = self._adjacency[survivor].get(neighbor, 0.0) + weight
+        weight = self._node_weights[survivor] + self._node_weights[absorbed]
+        edges = {
+            neighbor: self._adjacency[survivor].get(neighbor, 0.0) + w
+            for neighbor, w in self._adjacency[absorbed].items()
+            if neighbor != survivor
+        }
+        if weight == _INF or _INF in edges.values():
+            raise ValueError(f"merging {absorbed!r} into {survivor!r} overflows a weight")
+        self._node_weights[survivor] = weight
+        for neighbor, merged in edges.items():
             self._adjacency[survivor][neighbor] = merged
             self._adjacency[neighbor][survivor] = merged
         self.remove_node(absorbed)

@@ -11,7 +11,6 @@ from repro.mec.admission import (
     EqualShareAllocation,
     FCFSQueueAllocation,
     ProportionalShareAllocation,
-    QueueTheoreticAllocation,
     ServerAllocation,
 )
 from repro.mec.channel import (
@@ -50,7 +49,6 @@ __all__ = [
     "EqualShareAllocation",
     "ProportionalShareAllocation",
     "FCFSQueueAllocation",
-    "QueueTheoreticAllocation",
     "ServerAllocation",
     "ConsumptionBreakdown",
     "local_compute_time",

@@ -99,51 +99,6 @@ class ProportionalShareAllocation(AllocationPolicy):
         )
 
 
-class QueueTheoreticAllocation(AllocationPolicy):
-    """M/M/1-flavoured waiting model (extension beyond the paper).
-
-    The server is treated as a single queue with service capacity ``C``
-    and offered load ``rho = total remote work / (C * horizon)``; every
-    active user receives the full capacity and a waiting time that blows
-    up as the system approaches saturation:
-
-        wt = (rho / (1 - rho)) * (load / C)
-
-    ``horizon`` calibrates what "one unit of time" of offered work means;
-    above ``max_utilisation`` the waiting time is pinned to the value at
-    that utilisation (the deterministic planner needs finite numbers).
-    """
-
-    def __init__(self, horizon: float = 1.0, max_utilisation: float = 0.95) -> None:
-        if horizon <= 0:
-            raise ValueError(f"horizon must be > 0, got {horizon}")
-        if not 0.0 < max_utilisation < 1.0:
-            raise ValueError(
-                f"max_utilisation must be in (0, 1), got {max_utilisation}"
-            )
-        self.horizon = horizon
-        self.max_utilisation = max_utilisation
-
-    def allocate(
-        self, server: EdgeServer, remote_loads: Mapping[str, float]
-    ) -> ServerAllocation:
-        active = {user: load for user, load in remote_loads.items() if load > MIN_REMOTE_LOAD}
-        if not active:
-            return ServerAllocation({}, {})
-        total = sum(active.values())
-        rho = min(
-            total / (server.total_capacity * self.horizon), self.max_utilisation
-        )
-        delay_factor = rho / (1.0 - rho)
-        return ServerAllocation(
-            capacity={user: server.total_capacity for user in active},
-            waiting={
-                user: delay_factor * load / server.total_capacity
-                for user, load in active.items()
-            },
-        )
-
-
 class FCFSQueueAllocation(AllocationPolicy):
     """First-come-first-served: full capacity, queue-position waiting.
 

@@ -187,6 +187,21 @@ class TestMerge:
         assert compressed.node_reduction == pytest.approx(1 - 2 / 8)
         assert compressed.original_edge_count == 13
 
+    def test_super_node_and_super_edge_overflow_rejected(self):
+        # Each weight is valid; their sum is not a finite float.
+        g = WeightedGraph()
+        g.add_node("a", weight=1e308)
+        g.add_node("b", weight=1e308)
+        g.add_edge("a", "b", weight=1.0)
+        with pytest.raises(ValueError, match="overflows"):
+            merge_labeled_graph(g, {"a": 0, "b": 0})
+        g.set_node_weight("a", 1.0)
+        g.add_node("c", weight=1.0)
+        g.add_edge("a", "c", weight=1e308)
+        g.add_edge("b", "c", weight=1e308)
+        with pytest.raises(ValueError, match="overflows"):
+            merge_labeled_graph(g, {"a": 0, "b": 0, "c": 1})
+
 
 class TestCompressor:
     def test_two_cluster_compresses_to_two_nodes(self):
@@ -231,3 +246,27 @@ class TestCompressor:
         result = GraphCompressor().compress(clusters)
         assert result.rounds_total >= 1
         assert len(result.component_reports) == 1
+
+    def test_one_component_subgraph_is_propagated_in_place(self, clusters, monkeypatch):
+        """A planner input (a ``subgraph`` output) is not copied again;
+        a graph whose neighbour order ``subgraph`` would change is."""
+        copies = []
+        original = WeightedGraph.subgraph
+
+        def counting(self, nodes):
+            copies.append(self)
+            return original(self, nodes)
+
+        planner_input = clusters.subgraph(clusters.nodes())
+        reordered = WeightedGraph()
+        for n in (0, 1, 2):
+            reordered.add_node(n)
+        reordered.add_edge(2, 1)
+        reordered.add_edge(0, 1)
+        assert planner_input.in_subgraph_order()
+        assert not reordered.in_subgraph_order()
+        monkeypatch.setattr(WeightedGraph, "subgraph", counting)
+        GraphCompressor().compress(planner_input)
+        assert copies == []
+        GraphCompressor().compress(reordered)
+        assert copies == [reordered]

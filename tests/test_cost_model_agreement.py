@@ -38,7 +38,6 @@ from repro.mec.admission import (
     EqualShareAllocation,
     FCFSQueueAllocation,
     ProportionalShareAllocation,
-    QueueTheoreticAllocation,
 )
 from repro.mec.channel import SharedChannel
 from repro.mec.devices import DeviceProfile, EdgeServer, MobileDevice
@@ -52,7 +51,6 @@ POLICIES = [
     EqualShareAllocation(),
     ProportionalShareAllocation(),
     FCFSQueueAllocation(),
-    QueueTheoreticAllocation(horizon=10.0),
 ]
 
 _weights = st.floats(0.5, 100.0, allow_nan=False, allow_infinity=False)

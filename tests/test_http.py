@@ -154,6 +154,10 @@ class TestHttpFrontend:
             ),
             "negative flow": f'{{"functions": [{two}], "data_flows": [["f", "g", -2.0]]}}',
             "self-loop": f'{{"functions": [{two}], "data_flows": [["f", "f", 2.0]]}}',
+            "parallel flows overflowing": (
+                f'{{"functions": [{two}], '
+                '"data_flows": [["f", "g", 1e308], ["g", "f", 1e308]]}'
+            ),
         }
         with (
             PlanService(make_planner("spectral"), ServiceConfig(workers=1)) as service,

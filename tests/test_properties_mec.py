@@ -11,7 +11,6 @@ from repro.mec.admission import (
     EqualShareAllocation,
     FCFSQueueAllocation,
     ProportionalShareAllocation,
-    QueueTheoreticAllocation,
 )
 from repro.mec.devices import DeviceProfile, EdgeServer, MobileDevice
 from repro.mec.greedy import generate_offloading_scheme
@@ -22,7 +21,6 @@ POLICIES = [
     EqualShareAllocation(),
     ProportionalShareAllocation(),
     FCFSQueueAllocation(),
-    QueueTheoreticAllocation(horizon=10.0),
 ]
 
 
@@ -125,7 +123,7 @@ def test_weights_conserved_by_placement(app):
     assert len(totals) == 1 or max(totals) - min(totals) < 1e-9
 
 
-@given(partitioned_app(), st.integers(0, 3))
+@given(partitioned_app(), st.integers(0, len(POLICIES) - 1))
 @settings(max_examples=30, deadline=None)
 def test_greedy_history_monotone_and_feasible(app, policy_index):
     device = MobileDevice(

@@ -1,5 +1,5 @@
-"""Tests for compression quality metrics, cluster task retries, and the
-library's runnable docstring examples."""
+"""Tests for compression quality metrics and the library's runnable
+docstring examples."""
 
 import doctest
 
@@ -11,7 +11,6 @@ from repro.compression.quality import (
     internalized_traffic_fraction,
     weighted_modularity,
 )
-from repro.distributed.cluster import LocalCluster
 from repro.graphs.generators import path_graph, two_cluster_graph
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.workloads.netgen import NetgenConfig, netgen_graph
@@ -59,57 +58,6 @@ class TestCompressionQuality:
         assert quality["internalized_traffic"] > 0.6
         assert quality["modularity"] > 0.2
         assert quality["node_reduction"] > 0.5
-
-
-class TestClusterRetries:
-    @staticmethod
-    def flaky(failures_left: list[int]):
-        def task():
-            if failures_left[0] > 0:
-                failures_left[0] -= 1
-                raise RuntimeError("transient worker failure")
-            return "ok"
-
-        return task
-
-    def test_retry_recovers_transient_failure(self):
-        cluster = LocalCluster(workers=1, max_task_retries=3)
-        results = cluster.run_stage([self.flaky([2])])
-        assert results == ["ok"]
-        assert cluster.stats.retries == 2
-
-    def test_budget_exhaustion_propagates(self):
-        cluster = LocalCluster(workers=1, max_task_retries=1)
-        with pytest.raises(RuntimeError, match="transient"):
-            cluster.run_stage([self.flaky([5])])
-        assert cluster.stats.retries == 1
-
-    def test_zero_retries_fail_fast(self):
-        cluster = LocalCluster(workers=1, max_task_retries=0)
-        with pytest.raises(RuntimeError):
-            cluster.run_stage([self.flaky([1])])
-        assert cluster.stats.retries == 0
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            LocalCluster(workers=1, max_task_retries=-1)
-
-    def test_rdd_pipeline_survives_flaky_tasks(self):
-        """Retries compose with the RDD layer (tasks must be pure)."""
-        cluster = LocalCluster(workers=2, max_task_retries=2)
-        fail_once = {"budget": 2}
-
-        def sometimes_flaky(x: int) -> int:
-            if fail_once["budget"] > 0 and x == 0:
-                fail_once["budget"] -= 1
-                raise OSError("worker lost")
-            return x * 2
-
-        result = cluster.parallelize(range(10), partitions=5).map(
-            sometimes_flaky
-        ).collect()
-        assert result == [x * 2 for x in range(10)]
-        assert cluster.stats.retries >= 1
 
 
 class TestDoctests:
