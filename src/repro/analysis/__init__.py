@@ -2,8 +2,8 @@
 
 ``repro.analysis`` enforces the invariants the serving and planning
 layers rely on but Python cannot express: determinism of the planning
-packages, lock discipline in the shared-state classes, process-pool
-payload safety, exception hygiene, and — via the whole-program graph in
+packages, lock discipline in the shared-state classes, exception
+hygiene, and — via the whole-program graph in
 :mod:`repro.analysis.program` — cross-module lock-order cycles and
 event-loop async safety.  The static battery runs as ``repro-lint`` (or
 ``python -m repro lint``); the dynamic half,

@@ -3,11 +3,9 @@
 Scans the given paths with the built-in rule battery and prints
 findings as text (one per line, ``path:line rule message``), JSON (the
 CI artifact schema), or SARIF 2.1.0 (``--sarif``, for code-review
-ingestion).  Analysis parallelizes across ``--jobs`` worker threads
-(default: all cores) with findings guaranteed identical to a serial
-run.  A findings baseline (``--baseline`` / ``--write-baseline``, see
-:mod:`repro.analysis.baseline`) lets a new rule land before its legacy
-findings are burned down.
+ingestion).  A findings baseline (``--baseline`` / ``--write-baseline``,
+see :mod:`repro.analysis.baseline`) lets a new rule land before its
+legacy findings are burned down.
 
 Exit codes: ``0`` clean (or findings without ``--strict``), ``1``
 findings — errors *or* warnings — under ``--strict``, ``2`` bad
@@ -18,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from collections.abc import Sequence
@@ -62,14 +59,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="FILE",
         default=None,
         help="also write the report as SARIF 2.1.0 to FILE",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="analyze with N worker threads (default: all cores); "
-        "findings are identical for any N",
     )
     parser.add_argument(
         "--baseline",
@@ -117,11 +106,6 @@ def run(args: argparse.Namespace) -> int:
         print(f"repro-lint: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
 
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    if jobs < 1:
-        print(f"repro-lint: --jobs must be >= 1, got {jobs}", file=sys.stderr)
-        return 2
-
     fingerprints: set[str] | None = None
     if args.baseline:
         try:
@@ -131,7 +115,7 @@ def run(args: argparse.Namespace) -> int:
             return 2
 
     started = time.perf_counter()
-    report = analyze_paths(paths, rules, jobs=jobs, baseline=fingerprints)
+    report = analyze_paths(paths, rules, baseline=fingerprints)
     elapsed = time.perf_counter() - started
 
     if args.write_baseline:
@@ -145,9 +129,9 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     # Timing is injected here, not in to_dict(): the report itself stays
-    # deterministic so a --jobs N run is byte-identical to --jobs 1.
+    # deterministic, so two runs over the same tree are byte-identical.
     payload = report.to_dict()
-    payload["timing"] = {"seconds": round(elapsed, 3), "jobs": jobs}
+    payload["timing"] = {"seconds": round(elapsed, 3)}
 
     if args.json_out:
         Path(args.json_out).write_text(
@@ -189,8 +173,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="static analysis for determinism, lock discipline, "
-        "process-pool safety, exception hygiene, and whole-program "
-        "concurrency (lock-order cycles, async safety)",
+        "exception hygiene, and whole-program concurrency (lock-order "
+        "cycles, async safety)",
     )
     add_arguments(parser)
     args = parser.parse_args(argv)

@@ -8,10 +8,10 @@ whole-program graph built by :mod:`repro.analysis.program` — symbol
 table, call edges, lock acquisitions — and can report cross-module
 facts (a deadlock cycle spanning three files, a blocking call four
 frames below an ``async def``).  The engine owns everything around
-that — file discovery, parsing (optionally parallel), graph
-construction, suppression matching (:mod:`repro.analysis.suppressions`),
-the suppression audit, baseline filtering, and stable ordering of
-results — so each rule stays a pure check.
+that — file discovery, parsing, graph construction, suppression
+matching (:mod:`repro.analysis.suppressions`), the suppression audit,
+baseline filtering, and stable ordering of results — so each rule stays
+a pure check.
 
 Registration is by decorator::
 
@@ -38,7 +38,6 @@ from __future__ import annotations
 import abc
 import ast
 from collections.abc import Iterable, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar
@@ -296,33 +295,19 @@ def _split_rules(rules: Sequence[Rule]) -> tuple[list[Rule], list[ProgramRule]]:
 def _analyze_units(
     units: Sequence[ModuleUnit | Finding],
     rules: Sequence[Rule],
-    jobs: int = 1,
 ) -> tuple[list[Finding], list[Suppression]]:
     """The full pipeline over already-parsed *units*.
 
-    Stages: per-module rules (parallel when ``jobs > 1`` — rules are
-    stateless, so threads only race on the GIL), then program rules
-    over the graph of every module that parsed, then suppression
-    matching and the suppression audit.  Findings are sorted at the
-    end, so the result is byte-identical for any ``jobs`` value.
+    Stages: per-module rules, then program rules over the graph of
+    every module that parsed, then suppression matching and the
+    suppression audit.  Findings are sorted at the end.
     """
     module_rules, program_rules = _split_rules(rules)
     modules = [unit for unit in units if isinstance(unit, ModuleUnit)]
     raw: list[Finding] = [unit for unit in units if isinstance(unit, Finding)]
-
-    def run_module_rules(module: ModuleUnit) -> list[Finding]:
-        findings: list[Finding] = []
+    for module in modules:
         for rule in module_rules:
-            findings.extend(rule.check(module))
-        return findings
-
-    if jobs > 1 and len(modules) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for per_module in pool.map(run_module_rules, modules):
-                raw.extend(per_module)
-    else:
-        for module in modules:
-            raw.extend(run_module_rules(module))
+            raw.extend(rule.check(module))
 
     if program_rules and modules:
         # Imported here, not at module top: program.py imports
@@ -400,30 +385,18 @@ def analyze_sources(
 def analyze_paths(
     paths: Sequence[Path | str],
     rules: Sequence[Rule] | None = None,
-    jobs: int = 1,
     baseline: set[str] | None = None,
 ) -> AnalysisReport:
     """Analyze every Python file under *paths* and return the report.
 
-    ``jobs > 1`` parallelizes file reading/parsing and the per-module
-    rules across a thread pool; findings are identical to a serial run.
     *baseline* is a set of finding fingerprints (see
     :mod:`repro.analysis.baseline`) to divert into
     :attr:`AnalysisReport.baselined`.
     """
     active = list(rules) if rules is not None else all_rules()
     files = iter_python_files(Path(path) for path in paths)
-
-    def load(file: Path) -> ModuleUnit | Finding:
-        return _parse_unit(file.read_text(encoding="utf-8"), str(file))
-
-    if jobs > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            units = list(pool.map(load, files))
-    else:
-        units = [load(file) for file in files]
-
-    findings, suppressions = _analyze_units(units, active, jobs=jobs)
+    units = [_parse_unit(file.read_text(encoding="utf-8"), str(file)) for file in files]
+    findings, suppressions = _analyze_units(units, active)
 
     report = AnalysisReport(files_scanned=len(files), suppressions=suppressions)
     if baseline:

@@ -187,7 +187,7 @@ class ProgramGraph:
     Build with :meth:`build`; query with :meth:`callees`,
     :meth:`facts_for`, :attr:`functions`.  All iteration orders are
     deterministic (sorted module and symbol names), so rule output is
-    stable across runs and ``--jobs`` settings.
+    stable across runs.
     """
 
     def __init__(self) -> None:

@@ -14,7 +14,6 @@ from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     exceptions,
     locks,
     lockorder,
-    poolsafety,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "exceptions",
     "locks",
     "lockorder",
-    "poolsafety",
 ]

@@ -1,8 +1,7 @@
 """Shared AST plumbing for the rule battery.
 
-The rules need two recurring answers: *what fully-qualified thing does
-this expression refer to* (through import aliases), and *which names are
-module-level callables* (for process-pool safety).  Both are resolved
+The rules need one recurring answer: *what fully-qualified thing does
+this expression refer to* (through import aliases).  It is resolved
 lexically — no execution, no cross-module resolution — which is exactly
 the precision this battery promises: a name that cannot be proven safe
 is reported, with a suppression as the escape hatch.
@@ -54,23 +53,3 @@ def dotted_name(node: ast.expr, aliases: dict[str, str]) -> str | None:
     base = aliases.get(current.id, current.id)
     parts.append(base)
     return ".".join(reversed(parts))
-
-
-def module_level_callables(tree: ast.Module) -> set[str]:
-    """Names bound at module scope to defs, classes, or imports.
-
-    These are the only callables that pickle by reference and can be
-    rebuilt inside a process-pool worker; anything else (lambdas,
-    closures, bound methods) drags live state across the fork.
-    """
-    names: set[str] = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                names.add(alias.asname or alias.name.split(".", 1)[0])
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                names.add(alias.asname or alias.name)
-    return names

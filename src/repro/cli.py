@@ -25,7 +25,7 @@ Commands:
   plan-cache hit rate and ``E + T`` vs. a single server of equal total
   capacity;
 * ``lint``      — run the repo's static-analysis battery (determinism,
-  lock discipline, process-pool safety, exception hygiene); also
+  lock discipline, exception hygiene, lock order, async safety); also
   installed as the ``repro-lint`` console script.
 
 Every command takes ``--seed`` and prints plain-text tables, so runs are

@@ -25,11 +25,7 @@ from repro.compression.quality import (
     internalized_traffic_fraction,
     weighted_modularity,
 )
-from repro.compression.propagation import (
-    LabelPropagation,
-    PropagationReport,
-    TraversalPolicy,
-)
+from repro.compression.propagation import LabelPropagation, PropagationReport
 from repro.compression.termination import TerminationCriteria
 
 __all__ = [
@@ -42,7 +38,6 @@ __all__ = [
     "QuantileThreshold",
     "LabelPropagation",
     "PropagationReport",
-    "TraversalPolicy",
     "TerminationCriteria",
     "CompressedGraph",
     "merge_labeled_graph",

@@ -15,11 +15,7 @@ from collections.abc import Hashable
 
 from repro.compression.labels import QuantileThreshold, ThresholdRule
 from repro.compression.merge import CompressedGraph, merge_labeled_graph
-from repro.compression.propagation import (
-    LabelPropagation,
-    PropagationReport,
-    TraversalPolicy,
-)
+from repro.compression.propagation import LabelPropagation, PropagationReport
 from repro.compression.termination import TerminationCriteria
 from repro.graphs.components import connected_components
 from repro.graphs.weighted_graph import WeightedGraph
@@ -37,7 +33,6 @@ class CompressionConfig:
 
     threshold_rule: ThresholdRule = field(default_factory=QuantileThreshold)
     termination: TerminationCriteria = field(default_factory=TerminationCriteria)
-    policy: TraversalPolicy = TraversalPolicy.BFS
 
 
 @dataclass
@@ -80,7 +75,6 @@ class GraphCompressor:
         propagation = LabelPropagation(
             threshold_rule=self.config.threshold_rule,
             termination=self.config.termination,
-            policy=self.config.policy,
         )
         reports: list[PropagationReport] = []
         labels: dict[NodeId, int] = {}

@@ -99,19 +99,19 @@ def merge_labeled_graph(graph: WeightedGraph, labels: dict[NodeId, int]) -> Comp
                     cluster_of[neighbor] = cluster_id
                     stack.append(neighbor)
         clusters.append(set())
-    # Members join their set in insertion order, as the sets' iteration
-    # order (and so the float sums below) depends on it.
+    # Each super-node's weight is summed in member insertion order, never
+    # in set order: a set of strings iterates in hash order, so its float
+    # sum would change with PYTHONHASHSEED.
+    node_weights: dict[NodeId, float] = {i: 0.0 for i in range(len(clusters))}
     for node in graph.nodes():
-        clusters[cluster_of[node]].add(node)
-
+        cluster_id = cluster_of[node]
+        clusters[cluster_id].add(node)
+        node_weights[cluster_id] += graph.node_weight(node)
     # Each stored weight is finite, but a sum of them may not be; refuse
     # it here as the public builders would.
-    node_weights: dict[NodeId, float] = {}
-    for cluster_id, cluster in enumerate(clusters):
-        weight = sum(graph.node_weight(member) for member in cluster)
+    for cluster_id, weight in node_weights.items():
         if weight == _INF:
             raise ValueError(f"super-node {cluster_id} weight overflows")
-        node_weights[cluster_id] = weight
     adjacency: dict[NodeId, dict[NodeId, float]] = {i: {} for i in range(len(clusters))}
     for u, v, w in graph.edges():
         cu = cluster_of[u]

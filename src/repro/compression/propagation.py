@@ -7,31 +7,24 @@ along *strong* edges — edges heavier than the rule threshold.  A node
 reached over a weak edge receives a fresh label.  Rounds repeat until a
 :class:`~repro.compression.termination.TerminationCriteria` fires.
 
-The propagation is deterministic: traversal order is BFS or DFS from the
-starter, and a node adopting a label from several strong labeled neighbors
-takes the one across its heaviest strong edge (ties break toward the
-earlier-labeled neighbor).
+The propagation is deterministic: traversal order is BFS from the
+starter (the paper allows depth- or breadth-first; this reproduction
+runs breadth-first), and a node adopting a label from several strong
+labeled neighbors takes the one across its heaviest strong edge (ties
+break toward the earlier-labeled neighbor).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from collections.abc import Hashable
 
 from repro.compression.labels import ThresholdRule
 from repro.compression.termination import TerminationCriteria
-from repro.graphs.traversal import bfs_order, dfs_order
+from repro.graphs.traversal import bfs_order
 from repro.graphs.weighted_graph import WeightedGraph
 
 NodeId = Hashable
-
-
-class TraversalPolicy(enum.Enum):
-    """Node visitation policy for each propagation round."""
-
-    BFS = "bfs"
-    DFS = "dfs"
 
 
 @dataclass
@@ -83,11 +76,9 @@ class LabelPropagation:
         self,
         threshold_rule: ThresholdRule,
         termination: TerminationCriteria | None = None,
-        policy: TraversalPolicy = TraversalPolicy.BFS,
     ) -> None:
         self.threshold_rule = threshold_rule
         self.termination = termination or TerminationCriteria()
-        self.policy = policy
 
     def run(self, graph: WeightedGraph) -> PropagationReport:
         """Propagate labels over *graph* and return the final assignment.
@@ -144,14 +135,13 @@ class LabelPropagation:
     # Internals
     # ------------------------------------------------------------------
     def _visit_order(self, graph: WeightedGraph, starter: NodeId) -> list[NodeId]:
-        """Full visitation order covering every node (all components)."""
-        walker = bfs_order if self.policy is TraversalPolicy.BFS else dfs_order
-        order = walker(graph, starter)
+        """Full BFS visitation order covering every node (all components)."""
+        order = bfs_order(graph, starter)
         visited = set(order)
         for node in graph.nodes():
             if node in visited:
                 continue
-            extra = walker(graph, node)
+            extra = bfs_order(graph, node)
             order.extend(extra)
             visited.update(extra)
         return order

@@ -14,7 +14,7 @@ class PlannerConfig:
 
     The defaults reproduce the paper's algorithm: compression on (with the
     median-quantile coupling threshold), spectral cut, unweighted E + T
-    objective, no post-cut refinement.
+    objective.
     """
 
     compression: CompressionConfig = field(default_factory=CompressionConfig)
@@ -25,21 +25,11 @@ class PlannerConfig:
     function its own part).  Expensive on large graphs — exactly the
     cost the paper's compression stage exists to avoid."""
 
-    refine_cuts: bool = False
-    """Polish each bisection with an FM refinement pass (extension)."""
-
-    min_cut_size: int = 2
-    """Sub-graphs smaller than this are kept whole (nothing to split)."""
-
     multiway_parts: int = 2
     """Maximum parts per compressed sub-graph.  2 is the paper's single
     bisection; larger values switch to recursive spectral partitioning
     (extension — see :mod:`repro.spectral.recursive`), giving Algorithm 2
     finer placement granularity at the cost of more candidate moves."""
-
-    multiway_max_cut_ratio: float = 0.5
-    """Recursive splitting stops when a split's cut would exceed this
-    fraction of the part's computation weight (multiway mode only)."""
 
     initial_placement_mode: str = "anchored"
     """Which reading of Algorithm 2's ``V_2'`` seeds the greedy — see

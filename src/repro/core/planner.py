@@ -29,7 +29,6 @@ from repro.graphs.weighted_graph import WeightedGraph
 from repro.mec.greedy import generate_offloading_scheme
 from repro.mec.scheme import PartitionedApplication
 from repro.mec.system import MECSystem
-from repro.partition.refinement import fm_refine
 from repro.utils.timer import Stopwatch
 
 
@@ -89,7 +88,7 @@ class OffloadingPlanner:
 
         for component in connected_components(working):
             subgraph = working.subgraph(component)
-            if subgraph.node_count < self.config.min_cut_size:
+            if subgraph.node_count < 2:  # a lone node has nothing to split
                 index = self._add_part(parts, expand(component))
                 bisections.append(({index}, set()))
                 cut_values.append(0.0)
@@ -100,9 +99,6 @@ class OffloadingPlanner:
                 continue
             with cut_watch:
                 outcome = self.cut_strategy(subgraph)
-                if self.config.refine_cuts and outcome.part_one and outcome.part_two:
-                    one, two, value = fm_refine(subgraph, outcome.part_one)
-                    outcome = CutOutcome(one, two, value)
             index_one = self._add_part(parts, expand(outcome.part_one))
             side_one = {index_one} if index_one is not None else set()
             index_two = self._add_part(parts, expand(outcome.part_two))
@@ -145,7 +141,7 @@ class OffloadingPlanner:
         partition = recursive_spectral_partition(
             subgraph,
             max_parts=self.config.multiway_parts,
-            max_cut_ratio=self.config.multiway_max_cut_ratio,
+            max_cut_ratio=0.5,
         )
         indices: set[int] = set()
         for piece in partition.parts:

@@ -70,7 +70,7 @@ from repro.graphs.paths import (
     shortest_path,
     weighted_farthest_node,
 )
-from repro.graphs.traversal import bfs_order, bfs_tree, dfs_order, eccentricity, farthest_node
+from repro.graphs.traversal import bfs_order, bfs_tree, eccentricity, farthest_node
 from repro.graphs.validation import check_graph_invariants
 from repro.graphs.weighted_graph import WeightedGraph
 
@@ -84,7 +84,6 @@ __all__ = [
     "largest_component",
     "bfs_order",
     "bfs_tree",
-    "dfs_order",
     "eccentricity",
     "farthest_node",
     "adjacency_matrix",

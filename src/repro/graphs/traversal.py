@@ -1,9 +1,9 @@
-"""Graph traversal primitives (BFS/DFS) used across the library.
+"""Graph traversal primitives (BFS) used across the library.
 
-Label propagation (Algorithm 1) walks the graph "according to depth-first
-or breadth-first policies"; the max-flow baseline needs BFS shortest paths;
-the s-t selection heuristic needs eccentricity.  All of those build on the
-orders defined here.
+Label propagation (Algorithm 1) walks the graph breadth-first (the paper
+allows "depth-first or breadth-first policies"); the max-flow baseline
+needs BFS shortest paths; the s-t selection heuristic needs eccentricity.
+All of those build on the orders defined here.
 """
 
 from __future__ import annotations
@@ -34,25 +34,6 @@ def bfs_order(graph: WeightedGraph, start: NodeId) -> list[NodeId]:
                 visited.add(neighbor)
                 order.append(neighbor)
                 queue.append(neighbor)
-    return order
-
-
-def dfs_order(graph: WeightedGraph, start: NodeId) -> list[NodeId]:
-    """Return nodes reachable from *start* in depth-first (preorder) order."""
-    if not graph.has_node(start):
-        raise KeyError(f"node {start!r} does not exist")
-    visited: set[NodeId] = set()
-    order: list[NodeId] = []
-    stack: list[NodeId] = [start]
-    while stack:
-        node = stack.pop()
-        if node in visited:
-            continue
-        visited.add(node)
-        order.append(node)
-        # Reversed so that the first-inserted neighbor is explored first,
-        # matching the recursive DFS a reader would expect.
-        stack.extend(reversed(list(graph.neighbors(node))))
     return order
 
 

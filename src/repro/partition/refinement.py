@@ -1,9 +1,9 @@
 """Fiduccia-Mattheyses-style single-move refinement.
 
 Unlike KL's pairwise swaps, FM moves one node at a time across the cut,
-subject to a balance constraint.  The pipeline offers it as an optional
-polish step after spectral bisection (``PlannerConfig.refine_cuts``) and
-the ablation bench measures how much cut weight it recovers.
+subject to a balance constraint.  The ``multilevel-kl`` strategy uses it
+to polish each uncoarsened level, and the cut-algorithm ablation bench
+measures how much cut weight it recovers after Kernighan-Lin.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from repro.service.http import (
     HttpFrontendThread,
     PayloadError,
     graph_to_payload,
-    make_fastapi_app,
     parse_graph_payload,
     response_to_dict,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "HttpFrontendThread",
     "PayloadError",
     "graph_to_payload",
-    "make_fastapi_app",
     "parse_graph_payload",
     "response_to_dict",
 ]

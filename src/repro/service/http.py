@@ -21,9 +21,7 @@ waits (``PlanTicket.result``) run on the loop's default thread-pool
 executor, so slow plans never stall other connections.  A request whose
 line, headers and body have not all arrived within
 ``_READ_DEADLINE_SECONDS`` gets a 408 and is closed, so a stalled client
-cannot hold a connection forever.  When FastAPI is
-installed, :func:`make_fastapi_app` builds an equivalent ASGI app over
-the same service; it is entirely optional and nothing here imports it.
+cannot hold a connection forever.
 """
 
 from __future__ import annotations
@@ -450,58 +448,11 @@ class HttpFrontendThread:
         self.close()
 
 
-def make_fastapi_app(service: PlanService) -> Any:
-    """Build a FastAPI app over *service* (optional dependency).
-
-    Raises :class:`RuntimeError` when FastAPI is not installed; the
-    stdlib :class:`HttpFrontend` is the always-available surface and the
-    two expose the same routes and payloads.
-    """
-    try:
-        from fastapi import FastAPI, Request, Response
-    except ImportError as exc:  # pragma: no cover - fastapi optional
-        raise RuntimeError(
-            "fastapi is not installed; use HttpFrontend (stdlib) instead"
-        ) from exc
-
-    app = FastAPI(title="repro plan service")  # pragma: no cover - fastapi optional
-
-    @app.get("/healthz")  # pragma: no cover - fastapi optional
-    async def healthz() -> dict[str, str]:
-        return {"status": "ok"}
-
-    @app.get("/metrics")  # pragma: no cover - fastapi optional
-    async def metrics() -> Response:
-        return Response(content=service.metrics_report(), media_type="text/plain")
-
-    @app.post("/plan")  # pragma: no cover - fastapi optional
-    async def plan(request: Request) -> Response:
-        try:
-            graph = parse_graph_payload(await request.json())
-        except PayloadError as exc:
-            return Response(
-                content=_error_body("invalid-graph", str(exc)),
-                media_type=_JSON,
-                status_code=400,
-            )
-        ticket = service.submit(graph)
-        loop = asyncio.get_running_loop()
-        response = await loop.run_in_executor(None, ticket.result)
-        return Response(
-            content=json.dumps(response_to_dict(response)),
-            media_type=_JSON,
-            status_code=_status_for(response),
-        )
-
-    return app  # pragma: no cover - fastapi optional
-
-
 __all__ = [
     "HttpFrontend",
     "HttpFrontendThread",
     "PayloadError",
     "graph_to_payload",
-    "make_fastapi_app",
     "parse_graph_payload",
     "response_to_dict",
 ]

@@ -36,6 +36,10 @@ from repro.service.metrics import MetricsRegistry
 from repro.service.plan_cache import PlanCache
 
 
+_PLANNER_RETRIES = 1
+"""Extra planner attempts after a crash before giving up."""
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Knobs of the serving layer (planning knobs live in PlannerConfig)."""
@@ -56,9 +60,6 @@ class ServiceConfig:
     request_timeout: float = 30.0
     """Default seconds a caller waits in :meth:`PlanTicket.result`."""
 
-    retries: int = 1
-    """Extra planner attempts after a crash before giving up."""
-
     cache_capacity: int = 256
     """LRU plan-cache entries."""
 
@@ -66,14 +67,9 @@ class ServiceConfig:
     """Optional JSON file: loaded on start, written on close, so caches
     survive restarts."""
 
-    validate_graphs: bool = True
-    """Run structural invariant checks before planning."""
-
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
 
 
 @dataclass(frozen=True)
@@ -329,13 +325,14 @@ class PlanService:
         self.queue.mark_resolved(flight)
 
     def _validate(self, graph: FunctionCallGraph) -> ServiceError | None:
-        """Structural invariant check, as a structured error."""
-        if not self.config.validate_graphs:
-            return None
+        """Structural invariant check, as a structured error.
+
+        An invalid graph is an error (counted once, as
+        ``errors_invalid-graph``), not load shedding.
+        """
         try:
             check_graph_invariants(graph.graph)
         except ValueError as exc:
-            self.metrics.counter("requests_shed").inc()
             return ServiceError("invalid-graph", str(exc))
         return None
 
@@ -345,7 +342,7 @@ class PlanService:
         invalid = self._validate(graph)
         if invalid is not None:
             return None, invalid
-        attempts = 1 + self.config.retries
+        attempts = 1 + _PLANNER_RETRIES
         last_error = "planner failed"
         for attempt in range(attempts):
             try:

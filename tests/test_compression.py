@@ -1,5 +1,11 @@
 """Tests for Algorithm 1: label rules, propagation, merge, compressor."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.compression.compressor import CompressionConfig, GraphCompressor
@@ -9,11 +15,7 @@ from repro.compression.labels import (
     QuantileThreshold,
 )
 from repro.compression.merge import merge_labeled_graph
-from repro.compression.propagation import (
-    LabelPropagation,
-    TraversalPolicy,
-    select_starter,
-)
+from repro.compression.propagation import LabelPropagation, select_starter
 from repro.compression.termination import TerminationCriteria
 from repro.graphs.generators import two_cluster_graph
 from repro.graphs.weighted_graph import WeightedGraph
@@ -123,14 +125,6 @@ class TestPropagation:
         assert set(report.labels) == {0, 1, 2, 3}
         assert report.labels[2] != report.labels[3]
 
-    def test_dfs_policy_also_labels_everything(self, clusters):
-        propagation = LabelPropagation(
-            AbsoluteThreshold(5.0), policy=TraversalPolicy.DFS
-        )
-        report = propagation.run(clusters)
-        assert set(report.labels) == set(clusters.nodes())
-        assert report.labels[0] != report.labels[4]
-
     def test_empty_graph(self):
         report = LabelPropagation(QuantileThreshold()).run(WeightedGraph())
         assert report.labels == {}
@@ -201,6 +195,39 @@ class TestMerge:
         g.add_edge("b", "c", weight=1e308)
         with pytest.raises(ValueError, match="overflows"):
             merge_labeled_graph(g, {"a": 0, "b": 0, "c": 1})
+
+    def test_super_node_weights_independent_of_hash_seed(self):
+        """Super-node weights are float sums over string-named members;
+        they must come out bit-identical under any ``PYTHONHASHSEED``."""
+        root = Path(__file__).resolve().parents[1]
+        outputs = []
+        for seed in ("1", "2"):
+            completed = subprocess.run(
+                [sys.executable, "-c", _MERGE_WEIGHTS_PROBE],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(root / "src")},
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            )
+            outputs.append(json.loads(completed.stdout.splitlines()[-1]))
+        assert outputs[0] == outputs[1]
+
+
+# Compresses synthesized apps and prints every super-node weight as
+# float.hex, so two interpreters compare bit for bit.
+_MERGE_WEIGHTS_PROBE = """
+import json
+from repro.compression.compressor import GraphCompressor
+from repro.workloads.applications import synthesize_application
+compressor = GraphCompressor()
+weights = []
+for seed in range(30):
+    app = synthesize_application(f"app{seed}", n_functions=60, seed=seed)
+    graph = compressor.compress(app.offloadable_subgraph()).compressed.graph
+    weights.append([graph.node_weight(node).hex() for node in graph.nodes()])
+print(json.dumps(weights))
+"""
 
 
 class TestCompressor:

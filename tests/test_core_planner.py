@@ -112,17 +112,6 @@ class TestPlanUser:
         assert plan.parts == []
         assert plan.bisections == []
 
-    def test_refine_cuts_never_worse(self):
-        g = netgen_graph(NetgenConfig(n_nodes=100, n_edges=430, seed=6))
-        app = call_graph_from_weighted_graph(g, unoffloadable_fraction=0.05, seed=6)
-        base = OffloadingPlanner(kl_cut_strategy(), strategy_name="kl").plan_user(app)
-        refined = OffloadingPlanner(
-            kl_cut_strategy(),
-            config=PlannerConfig(refine_cuts=True),
-            strategy_name="kl+fm",
-        ).plan_user(app)
-        assert refined.total_cut_value <= base.total_cut_value + 1e-9
-
 
 class TestPlanSystem:
     def make_system(self, app, n_users: int = 1):

@@ -91,7 +91,6 @@ class TestPlannerConfigDefaults:
         assert config.initial_placement_mode == "anchored"
         assert config.multiway_parts == 2
         assert not config.skip_compression
-        assert not config.refine_cuts
         assert config.objective.energy == 1.0
         assert config.objective.time == 1.0
 

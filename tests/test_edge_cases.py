@@ -133,18 +133,19 @@ class TestExtremeParameters:
 
 
 class TestPlannerRobustness:
-    def test_min_cut_size_respected(self):
+    def test_single_node_components_kept_whole(self):
         app = FunctionCallGraph("small-comp")
         for i in range(3):
             app.add_function(f"f{i}", computation=5.0)
         app.add_data_flow("f0", "f1", 1.0)  # one 2-node component + isolate
-        config = PlannerConfig(min_cut_size=5)
-        planner = OffloadingPlanner(
-            spectral_cut_strategy(), config=config, strategy_name="s"
-        )
+        planner = OffloadingPlanner(spectral_cut_strategy(), strategy_name="s")
         plan = planner.plan_user(app)
-        # Nothing reaches the cut stage: every component is one part.
-        assert all(not (one and two) for one, two in plan.bisections)
+        # The pair is bisected; the isolate never reaches the cut stage
+        # and stays one part with an empty other side and a zero cut.
+        assert sorted(map(sorted, plan.parts)) == [["f0"], ["f1"], ["f2"]]
+        isolate = plan.parts.index(frozenset({"f2"}))
+        assert ({isolate}, set()) in plan.bisections
+        assert plan.cut_values[plan.bisections.index(({isolate}, set()))] == 0.0
 
     def test_plan_user_is_idempotent(self):
         from repro.workloads.applications import synthesize_application

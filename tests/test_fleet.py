@@ -211,7 +211,7 @@ class TestFleetAdmission:
     def test_request_key_matches_golden(self, name):
         graph = golden_graphs()[name]
         assert EdgeFleet().request_key(graph) == GOLDEN_FLEET_KEYS[name]
-        assert EdgeFleet(config=PlannerConfig(refine_cuts=True)).request_key(
+        assert EdgeFleet(config=PlannerConfig(multiway_parts=4)).request_key(
             graph
         ) == GOLDEN_FLEET_KEYS[name]
 
@@ -233,7 +233,7 @@ class TestFleetAdmission:
 
         default = owners(None)
         assert len(set(default)) > 1
-        assert owners(PlannerConfig(refine_cuts=True)) == default
+        assert owners(PlannerConfig(initial_placement_mode="dominated")) == default
 
     def test_power_of_two_keeps_load_balanced(self, fleet_profile, arrival_trace):
         """Acceptance: max/mean admitted users <= 1.5 on a uniform trace."""

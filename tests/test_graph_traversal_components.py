@@ -12,7 +12,6 @@ from repro.graphs.generators import grid_graph, path_graph, star_graph
 from repro.graphs.traversal import (
     bfs_order,
     bfs_tree,
-    dfs_order,
     eccentricity,
     farthest_node,
     hop_distances,
@@ -34,17 +33,6 @@ class TestTraversal:
     def test_bfs_order_on_path(self, chain):
         assert bfs_order(chain, 0) == [0, 1, 2, 3, 4, 5]
         assert bfs_order(chain, 3) == [3, 2, 4, 1, 5, 0]
-
-    def test_dfs_order_on_star(self):
-        star = star_graph(3)
-        assert dfs_order(star, 0) == [0, 1, 2, 3]
-
-    def test_dfs_goes_deep_first(self, chain):
-        chain.add_node(99)
-        chain.add_edge(0, 99)
-        order = dfs_order(chain, 0)
-        # DFS from 0 explores the long chain fully before the 99 branch.
-        assert order.index(5) < order.index(99)
 
     def test_bfs_missing_start_raises(self, chain):
         with pytest.raises(KeyError):
@@ -69,7 +57,7 @@ class TestTraversal:
     def test_traversal_covers_only_reachable(self):
         g = two_component_graph()
         assert set(bfs_order(g, 0)) == {0, 1, 2}
-        assert set(dfs_order(g, 3)) == {3, 4}
+        assert set(bfs_order(g, 3)) == {3, 4}
 
 
 class TestComponents:

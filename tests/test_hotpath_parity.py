@@ -32,7 +32,7 @@ from repro.compression.labels import (
     MeanScaledThreshold,
     QuantileThreshold,
 )
-from repro.compression.propagation import LabelPropagation, TraversalPolicy
+from repro.compression.propagation import LabelPropagation
 from repro.core import make_planner
 from repro.fleet.fleet import EdgeFleet
 from repro.fleet.routing import make_routing_policy
@@ -85,29 +85,17 @@ def _random_call_graph(seed: int, app_name: str = "parity") -> FunctionCallGraph
 # Label propagation: golden labels
 # ----------------------------------------------------------------------
 GOLDEN_RANDOM_LABELS = {
-    # (seed, policy, rule index, nodes): (labels by node id, rounds, updates per round)
-    (0, "bfs", 0, 8): ([0, 0, 0, 0, 0, 0, 0, 1], 2, [8, 0]),
-    (17, "dfs", 1, 15): ([0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], 3, [15, 1, 0]),
-    (123, "bfs", 2, 23): ([2, 0, 0, 0, 5, 4, 0, 0, 3, 5, 3, 2, 0, 2, 0, 6, 1, 0, 7, 0, 0, 4, 0], 2,
-                          [23, 0]),
-    (999, "dfs", 3, 30): ([1, 2, 1, 0, 2, 2, 1, 2, 1, 1, 0, 0, 0, 1, 3, 2, 3, 0, 0, 0, 4, 1, 1, 0, 1, 1,
-                           2, 0, 1, 0],
-                          3, [30, 1, 0]),
-    (4242, "bfs", 1, 41): ([0, 0, 2, 0, 0, 2, 3, 0, 2, 0, 2, 2, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0,
-                            0, 0, 0, 2, 1, 3, 0, 2, 2, 0, 0, 0, 3, 0, 0, 0],
-                           3, [41, 5, 0]),
-    (7, "dfs", 0, 52): ([3, 3, 0, 1, 0, 7, 0, 0, 1, 1, 9, 2, 0, 0, 0, 8, 8, 6, 0, 1, 1, 0, 8, 0, 0, 1,
-                         0, 0, 8, 4, 0, 0, 1, 0, 0, 8, 11, 4, 3, 1, 0, 8, 0, 1, 0, 1, 7, 7, 12, 0, 0,
-                         7],
-                        3, [52, 3, 0]),
-    (10000, "bfs", 3, 60): ([0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 4, 0, 0, 4, 0, 0, 4, 0, 0,
-                             0, 0, 0, 0, 0, 3, 4, 0, 5, 4, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                             0, 4, 4, 0, 0, 0, 5, 0, 0, 0],
-                            5, [60, 4, 2, 1, 0]),
-    (555, "dfs", 2, 60): ([6, 0, 5, 4, 1, 1, 3, 3, 1, 0, 4, 3, 1, 5, 3, 1, 3, 1, 3, 3, 3, 1, 10, 1, 7,
-                           0, 0, 7, 4, 0, 1, 9, 0, 3, 12, 4, 3, 6, 4, 0, 3, 5, 3, 8, 4, 0, 3, 0, 4, 5,
-                           6, 0, 0, 11, 3, 0, 4, 0, 4, 0],
-                          3, [60, 2, 0]),
+    # (seed, rule index, nodes): (labels by node id, rounds, updates per round)
+    (0, 0, 8): ([0, 0, 0, 0, 0, 0, 0, 1], 2, [8, 0]),
+    (123, 2, 23): ([2, 0, 0, 0, 5, 4, 0, 0, 3, 5, 3, 2, 0, 2, 0, 6, 1, 0, 7, 0, 0, 4, 0], 2,
+                   [23, 0]),
+    (4242, 1, 41): ([0, 0, 2, 0, 0, 2, 3, 0, 2, 0, 2, 2, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0,
+                     0, 0, 0, 2, 1, 3, 0, 2, 2, 0, 0, 0, 3, 0, 0, 0],
+                    3, [41, 5, 0]),
+    (10000, 3, 60): ([0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 4, 0, 0, 4, 0, 0, 4, 0, 0,
+                      0, 0, 0, 0, 0, 3, 4, 0, 5, 4, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                      0, 4, 4, 0, 0, 0, 5, 0, 0, 0],
+                     5, [60, 4, 2, 1, 0]),
 }
 
 GOLDEN_DISCONNECTED_LABELS = [
@@ -146,13 +134,13 @@ def _summary(graph: WeightedGraph, report) -> tuple[list[int], int, list[int]]:
 
 class TestLabelPropagationGolden:
     @pytest.mark.parametrize(
-        "case", list(GOLDEN_RANDOM_LABELS), ids=lambda c: "seed{}-{}-rule{}-n{}".format(*c)
+        "case", list(GOLDEN_RANDOM_LABELS), ids=lambda c: "seed{}-bfs-rule{}-n{}".format(*c)
     )
     def test_random_graph_labels_match_golden(self, case):
-        seed, policy, rule_index, n_nodes = case
+        seed, rule_index, n_nodes = case
         n_edges = min(2 * n_nodes, n_nodes * (n_nodes - 1) // 2)
         graph = random_connected_graph(n_nodes, n_edges, seed=seed)
-        propagation = LabelPropagation(THRESHOLD_RULES[rule_index], policy=TraversalPolicy(policy))
+        propagation = LabelPropagation(THRESHOLD_RULES[rule_index])
         assert _summary(graph, propagation.run(graph)) == GOLDEN_RANDOM_LABELS[case]
 
     @pytest.mark.parametrize("seed", range(len(GOLDEN_DISCONNECTED_LABELS)))

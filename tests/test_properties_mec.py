@@ -7,15 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.callgraph.model import FunctionCallGraph
+from repro.core import make_planner
 from repro.mec.admission import (
     EqualShareAllocation,
     FCFSQueueAllocation,
     ProportionalShareAllocation,
 )
+from repro.mec.channel import SharedChannel
 from repro.mec.devices import DeviceProfile, EdgeServer, MobileDevice
-from repro.mec.greedy import generate_offloading_scheme
+from repro.mec.greedy import generate_offloading_scheme, initial_placement
 from repro.mec.scheme import PartitionedApplication
 from repro.mec.system import MECSystem, UserContext
+from repro.workloads.applications import synthesize_application
 
 POLICIES = [
     EqualShareAllocation(),
@@ -237,3 +240,61 @@ def test_partition_build_matches_reference(case):
     assert [(p.computation, p.anchor_traffic) for p in app.parts] == parts
     assert list(app.inter_comm.items()) == inter_comm
     assert app.pinned_computation == pinned
+
+
+@st.composite
+def planned_systems(draw):
+    """A 2-6 user system over 1-3 distinct synthesized apps, with random
+    device, server and (optionally) shared-channel parameters."""
+    n_users = draw(st.integers(2, 6))
+    pool = [
+        synthesize_application(
+            f"app{k}",
+            n_functions=draw(st.integers(8, 24)),
+            seed=draw(st.integers(0, 10_000)),
+            coupling=draw(st.sampled_from(["loose", "tight"])),
+        )
+        for k in range(draw(st.integers(1, 3)))
+    ]
+    profile = DeviceProfile(
+        compute_capacity=draw(st.floats(5.0, 200.0)),
+        power_compute=draw(st.floats(0.1, 2.0)),
+        power_transmit=draw(st.floats(0.5, 10.0)),
+        bandwidth=draw(st.floats(5.0, 200.0)),
+    )
+    users = [
+        UserContext(MobileDevice(f"u{i}", profile=profile), pool[i % len(pool)])
+        for i in range(n_users)
+    ]
+    channel = (
+        SharedChannel(capacity=draw(st.floats(5.0, 400.0))) if draw(st.booleans()) else None
+    )
+    system = MECSystem(
+        EdgeServer(total_capacity=draw(st.floats(20.0, 2000.0))),
+        users,
+        allocation=draw(st.sampled_from(POLICIES)),
+        channel=channel,
+    )
+    return system, {user.user_id: user.call_graph for user in users}
+
+
+@given(planned_systems())
+@settings(max_examples=100, deadline=None)
+def test_plan_system_never_worse_than_its_initial_placement(planned):
+    """Algorithm 2 only accepts improving moves (and, with a shared
+    channel, keeps the best contention-consistent round), so the planned
+    E + T never exceeds that of the placement the greedy starts from."""
+    system, graphs = planned
+    planner = make_planner("spectral")
+    result = planner.plan_system(system, graphs)
+    apps = {
+        uid: PartitionedApplication(uid, graphs[uid], plan.parts)
+        for uid, plan in result.user_plans.items()
+    }
+    start = initial_placement(
+        apps,
+        {uid: plan.bisections for uid, plan in result.user_plans.items()},
+        mode=planner.config.initial_placement_mode,
+    )
+    start_value = system.evaluate_placement(apps, start).combined()
+    assert result.consumption.combined() <= start_value + 1e-9 * max(1.0, abs(start_value))

@@ -134,5 +134,5 @@ class TestMultiwayPlanner:
         for side_one, side_two in plan.bisections:
             if side_two and not side_one:
                 continue  # multiway group: (empty, all parts)
-            # Remaining entries are small components below min_cut_size.
+            # Remaining entries are single-node components, kept whole.
             assert len(side_one | side_two) <= 1

@@ -139,15 +139,15 @@ def golden_graphs() -> dict[str, FunctionCallGraph]:
 GOLDEN_FINGERPRINTS = {
     "pinned": (
         "4cbc1d002c9c972d2ccb739f77d17d80f030585acf5a8792e8e32bcc67035b6d",
-        "e916b419a159d544d34675cb702991b36c4e9b358805353c668df7e7103f3ebc",
+        "07a477d8fe466a7b7204e02a7c505744eb38278c4ada0c32e818e36c057d4bbd",
     ),
     "chain": (
         "fc57b8076e24bda777413c744fdd74044e1df4ce88f982611de7c58f4b9b865f",
-        "401828226e7392c15017bc77c08567d851da3d5b5278e34e8e2794ff4e268524",
+        "480caea2355ac94612ee4b13333e6bbfadff62469bf7703c929e0dc5d452512b",
     ),
     "odd": (
         "cc8334748ab6fc1b73402cbad51421244216f9d9fcecf5d82042980a8e58092f",
-        "b5379eccf4cb29cdaf58c4299fa266fee789d203c73142b64a086b93b9dc6e32",
+        "947c6cf501a9869e69cfd14a9e0eae997281fb19861345a047efa174e6fafac4",
     ),
 }
 
@@ -211,8 +211,8 @@ class TestFingerprint:
 
     def test_config_fingerprint_distinguishes_configs(self):
         base = PlannerConfig()
-        refined = dataclasses.replace(base, refine_cuts=True)
-        assert config_fingerprint(base) != config_fingerprint(refined)
+        multiway = dataclasses.replace(base, multiway_parts=4)
+        assert config_fingerprint(base) != config_fingerprint(multiway)
         assert config_fingerprint(base) == config_fingerprint(PlannerConfig())
 
     def test_config_fingerprint_rejects_opaque_objects(self):
@@ -446,7 +446,8 @@ class TestPlanService:
             assert not bad.ok
             assert bad.error.code == "invalid-graph"
             assert "asymmetric" in bad.error.message
-            assert service.metrics.counter("requests_shed").value == 1
+            # Counted once, as an error: an invalid graph is not load shed.
+            assert service.metrics.counter("requests_shed").value == 0
             assert service.metrics.counter("errors_invalid-graph").value == 1
             good = service.plan(healthy)
             assert good.ok, "worker thread must survive a rejected graph"
