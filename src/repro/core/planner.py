@@ -178,16 +178,22 @@ class OffloadingPlanner:
         enters the cache, so a recycled object id can never alias two
         different graphs onto one plan.
 
-        Each distinct graph *object* is fingerprinted once per call, however
-        many users share it: ``call_graphs`` keeps every object alive for
-        the whole call, so the object-keyed ``keys`` table cannot confuse
-        two graphs.  It lives only for this call — ``.graph`` is mutable,
-        so a key cached across calls could go stale.
+        Each distinct graph *object* is fingerprinted and partitioned once
+        per call, however many users share it, and its one
+        :class:`~repro.mec.scheme.PartitionedApplication` serves all of
+        them: a partition holds nothing per user.  ``call_graphs`` keeps
+        every object alive for the whole call, so the object-keyed
+        ``keys`` and ``partitions`` tables cannot confuse two graphs.
+        They live only for this call — ``.graph`` is mutable, so an entry
+        kept across calls could go stale.  Algorithm 2 then runs over
+        these shared partitions (see
+        :func:`~repro.mec.greedy.generate_offloading_scheme`).
         """
         started = time.perf_counter()
 
         keys: dict[FunctionCallGraph, Hashable | None] = {}
         plan_cache: dict[Hashable, UserPlan] = {}
+        partitions: dict[FunctionCallGraph, PartitionedApplication] = {}
         user_plans: dict[str, UserPlan] = {}
         apps: dict[str, PartitionedApplication] = {}
         bisections: dict[str, list[tuple[set[int], set[int]]]] = {}
@@ -207,11 +213,14 @@ class OffloadingPlanner:
             else:
                 plan = plan_cache[cache_key] = self.plan_user(call_graph)
             user_plans[user.user_id] = plan
-            apps[user.user_id] = PartitionedApplication(
-                user_id=user.user_id,
-                call_graph=call_graph,
-                part_sets=plan.parts,
-            )
+            app = partitions.get(call_graph)
+            if app is None:
+                app = partitions[call_graph] = PartitionedApplication(
+                    user_id=user.user_id,
+                    call_graph=call_graph,
+                    part_sets=plan.parts,
+                )
+            apps[user.user_id] = app
             bisections[user.user_id] = plan.bisections
 
         greedy = generate_offloading_scheme(

@@ -468,6 +468,11 @@ class EdgeFleet:
         self._dead: dict[str, FleetServer] = {}
         self._owner: dict[str, str] = {}
         self._degraded: dict[str, _DegradedUser] = {}
+        self._unplaced_plans = PlanCache(capacity=cache_capacity)
+        """Plans of arrivals no server took (degraded or rejected), by
+        request key, for :meth:`_lookup_plan`: the next arrival of the
+        same app is not planned again.  Bounded like a server cache, and
+        read only by ``peek``, so no hit/miss counter moves."""
         self._migration_debt: dict[str, ConsumptionBreakdown] = {}
         self._slas: dict[str, UserSLA] = {}
         self._sla_rejections = 0
@@ -587,15 +592,16 @@ class EdgeFleet:
 
         Plans are server-independent (content-addressed), so a
         speculative SLA evaluation may borrow the plan from whichever
-        cache holds it; :meth:`~repro.service.plan_cache.PlanCache.peek`
-        leaves LRU order and hit-rate accounting untouched — probes are
-        not requests.
+        cache holds it, or from the plans of arrivals no server took;
+        :meth:`~repro.service.plan_cache.PlanCache.peek` leaves LRU
+        order and hit-rate accounting untouched — probes are not
+        requests.
         """
         for server in self.servers.values():
             plan = server.cache.peek(key)
             if plan is not None:
                 return plan
-        return None
+        return self._unplaced_plans.peek(key)
 
     def _sla_feasible(
         self,
@@ -637,9 +643,13 @@ class EdgeFleet:
         """No server can take the user: degrade to all-local, or reject.
 
         A degraded user keeps the *key* and *plan* computed so far, for
-        :meth:`retry_degraded`.
+        :meth:`retry_degraded`; degraded or rejected, the plan is also
+        kept where :meth:`_lookup_plan` finds it for the next arrival of
+        the same app.
         """
         user_id = device.device_id
+        if key is not None and plan is not None:
+            self._unplaced_plans.put(key, plan)
         if sla is not None and sla.on_infeasible == "reject":
             self._sla_rejections += 1
             self.metrics.counter("fleet_sla_rejections").inc()

@@ -25,6 +25,18 @@ if still best) avoids rescanning all parts per move.  ``exhaustive=True``
 forces the textbook full scan; tests assert both give the same scheme on
 small systems.
 
+Nothing is computed twice.  The per-part tables (computation, anchor
+traffic, adjacency, ``w_total``) are built once per
+:class:`~repro.mec.scheme.PartitionedApplication`, which every user of
+one graph shares; each user's device-side ``(energy, time)`` is cached
+and refreshed only when one of their parts moves.  Under a shared
+channel, the rates a round implies are read off that round's own
+evaluation, the withdrawal sweep starts from the best round's
+evaluation, a sweep trial recomputes only the flipped user's
+``(local, remote, cut)``, and the sweep's last evaluation is the
+result.  The server-time term stays the exact allocation over every
+user: an aggregate form rounds differently (see DESIGN.md).
+
 The evaluator holds no formula of its own: it prices through
 :mod:`repro.mec.energy`'s scalar helpers, the same ones
 :func:`~repro.mec.energy.price_user` composes for
@@ -36,8 +48,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from collections.abc import Mapping
-
-import numpy as np
 
 from repro.mec.energy import device_terms, remote_compute_time
 from repro.mec.objective import ObjectiveWeights
@@ -146,20 +156,25 @@ def initial_placement(
 class PlacementEvaluator:
     """Incremental evaluation of part placements for one MEC system.
 
-    Per user, the part attributes are frozen into numpy arrays indexed by
-    ``part_id`` (parts are stored with ``part_id == index``):
-    ``computation``, ``anchor_traffic``, the total incident inter-part
-    communication ``w_total`` and the communication toward
-    currently-remote parts ``w_remote`` (maintained incrementally).  A
-    candidate move's cut change is then a closed form over three array
-    reads — edges to still-remote parts start crossing, edges to local
-    parts stop crossing, anchor traffic stops crossing::
+    The per-part tables that do not depend on the placement —
+    ``computation``, ``anchor``, the total incident inter-part
+    communication ``w_total`` and the part adjacency — are read from
+    each :class:`~repro.mec.scheme.PartitionedApplication`, which builds
+    them once and may share them among every user of one graph.  Only
+    the communication toward currently-remote parts, ``w_remote``, is
+    per pass; it is a plain list maintained incrementally.  A candidate
+    move's cut change is then a closed form over three list reads —
+    edges to still-remote parts start crossing, edges to local parts
+    stop crossing, anchor traffic stops crossing::
 
         delta_cut(p) = -anchor[p] + 2 * w_remote[p] - w_total[p]
 
-    so :meth:`evaluate_move` costs O(1) array reads for the device side
-    plus the O(active users) server-time aggregate, and only
-    :meth:`apply_move` pays O(deg(p)) to refresh neighbors' ``w_remote``.
+    Each user's device-side ``(energy, time)`` under the current
+    placement is cached and refreshed only by :meth:`apply_move`, so
+    :meth:`evaluate_move` prices the moved user's new terms alone plus
+    the O(active users) server-time aggregate, and :meth:`combined` sums
+    cached terms.  Only :meth:`apply_move` pays O(deg(p)) to refresh
+    neighbors' ``w_remote``.
     """
 
     def __init__(
@@ -182,43 +197,28 @@ class PlacementEvaluator:
         device side (see :func:`generate_offloading_scheme`)."""
         self.remote: dict[str, set[int]] = {u: set(p) for u, p in remote.items()}
 
-        # Per-part arrays, indexed by part_id, plus the communication
-        # adjacency (part -> [(other part, weight)]) used by apply_move.
-        self._part_adjacency: dict[str, list[list[tuple[int, float]]]] = {}
-        self._comp: dict[str, np.ndarray] = {}
-        self._anchor: dict[str, np.ndarray] = {}
-        self._w_total: dict[str, np.ndarray] = {}
-        self._w_remote: dict[str, np.ndarray] = {}
+        self._devices = {user_id: system.user(user_id).device for user_id in apps}
+        # Per-user aggregates under the current placement, and the
+        # per-part communication toward remote parts.
+        self._local_w: dict[str, float] = {}
+        self._remote_w: dict[str, float] = {}
+        self._cut: dict[str, float] = {}
+        self._w_remote: dict[str, list[float]] = {}
+        self._terms: dict[str, tuple[float, float]] = {}
         for user_id, app in apps.items():
-            n_parts = len(app.parts)
-            adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n_parts)]
-            w_total = np.zeros(n_parts)
-            w_remote = np.zeros(n_parts)
             parts_remote = self.remote.get(user_id, set())
+            w_remote = [0.0] * app.part_count
             for (i, j), weight in app.inter_comm.items():
-                adjacency[i].append((j, weight))
-                adjacency[j].append((i, weight))
-                w_total[i] += weight
-                w_total[j] += weight
                 if j in parts_remote:
                     w_remote[i] += weight
                 if i in parts_remote:
                     w_remote[j] += weight
-            self._part_adjacency[user_id] = adjacency
-            self._comp[user_id] = np.array([p.computation for p in app.parts])
-            self._anchor[user_id] = np.array([p.anchor_traffic for p in app.parts])
-            self._w_total[user_id] = w_total
             self._w_remote[user_id] = w_remote
-
-        # Per-user aggregates under the current placement.
-        self._local_w: dict[str, float] = {}
-        self._remote_w: dict[str, float] = {}
-        self._cut: dict[str, float] = {}
-        for user_id, app in apps.items():
-            parts_remote = self.remote.get(user_id, set())
-            self._local_w[user_id] = app.local_weight(parts_remote)
-            self._remote_w[user_id] = app.remote_weight(parts_remote)
-            self._cut[user_id] = app.cut_weight(parts_remote)
+            local_w, remote_w, cut = app.weights(parts_remote)
+            self._local_w[user_id] = local_w
+            self._remote_w[user_id] = remote_w
+            self._cut[user_id] = cut
+            self._terms[user_id] = self._device_terms(user_id, local_w, cut)
 
         self._cached_combined: float | None = None
         self._cached_server_time: float | None = None
@@ -229,7 +229,7 @@ class PlacementEvaluator:
     def _device_terms(self, user_id: str, local_w: float, cut: float) -> tuple[float, float]:
         """(energy, device-side time) for one user's local work and cut,
         at the user's effective rate."""
-        device = self.system.user(user_id).device
+        device = self._devices[user_id]
         t_c, e_c, t_t, e_t = device_terms(
             device, local_w, cut, self.rates.get(user_id, device.bandwidth)
         )
@@ -249,9 +249,7 @@ class PlacementEvaluator:
             return self._cached_combined
         value = 0.0
         for user_id in self.apps:
-            energy, device_time = self._device_terms(
-                user_id, self._local_w[user_id], self._cut[user_id]
-            )
+            energy, device_time = self._terms[user_id]
             value += self.weights.energy * energy + self.weights.time * device_time
         # e_c and e_t enter E while t_c and t_t enter T; server time (t_s,
         # waiting included) enters T only.
@@ -269,11 +267,12 @@ class PlacementEvaluator:
     # ------------------------------------------------------------------
     def _move_deltas(self, user_id: str, part_id: int) -> tuple[float, float, float]:
         """(new_local_w, new_remote_w, new_cut) for user after moving part local."""
-        computation = float(self._comp[user_id][part_id])
-        delta_cut = float(
-            -self._anchor[user_id][part_id]
+        app = self.apps[user_id]
+        computation = app.computation[part_id]
+        delta_cut = (
+            -app.anchor[part_id]
             + 2.0 * self._w_remote[user_id][part_id]
-            - self._w_total[user_id][part_id]
+            - app.w_total[part_id]
         )
         # Exact arithmetic keeps the remote load and the cut non-negative;
         # incremental float updates can leave a ~1e-16 residue that the
@@ -290,9 +289,7 @@ class PlacementEvaluator:
             raise ValueError(f"part {part_id} of {user_id!r} is not remote")
         new_local, new_remote, new_cut = self._move_deltas(user_id, part_id)
 
-        old_energy, old_time = self._device_terms(
-            user_id, self._local_w[user_id], self._cut[user_id]
-        )
+        old_energy, old_time = self._terms[user_id]
         new_energy, new_time = self._device_terms(user_id, new_local, new_cut)
         delta_device = self.weights.energy * (new_energy - old_energy) + self.weights.time * (
             new_time - old_time
@@ -310,10 +307,11 @@ class PlacementEvaluator:
         self._local_w[user_id] = new_local
         self._remote_w[user_id] = new_remote
         self._cut[user_id] = new_cut
+        self._terms[user_id] = self._device_terms(user_id, new_local, new_cut)
         # The moved part left the remote set: its neighbors' remote-facing
         # communication drops by the shared edge weight.
         w_remote = self._w_remote[user_id]
-        for other, weight in self._part_adjacency[user_id][part_id]:
+        for other, weight in self.apps[user_id].adjacency[part_id]:
             w_remote[other] -= weight
         self._cached_combined = None
         self._cached_server_time = None
@@ -338,6 +336,8 @@ def generate_offloading_scheme(
 ) -> GreedyResult:
     """Run Algorithm 2 and return the generated scheme.
 
+    *apps* maps each user to their partitioned application; users of one
+    graph may share one partition (see :class:`PlacementEvaluator`).
     *weights* scalarises the double objective (defaults to Algorithm 2's
     unweighted sum); *placement_mode* selects the ``V_2'`` reading (see
     :func:`initial_placement`).  *frozen_remote* pins users to existing
@@ -452,13 +452,6 @@ def generate_offloading_scheme(
             uid: system.user(uid).device.bandwidth for uid in sorted(apps)
         }
 
-        def active_users(placement: Mapping[str, set[int]]) -> list[str]:
-            return [
-                uid
-                for uid in sorted(apps)
-                if apps[uid].cut_weight(placement.get(uid, set())) > 0
-            ]
-
         # Round 1 runs at the *uncontended* rates (active set empty →
         # ``n = 1``), i.e. it reproduces the contention-blind greedy
         # exactly; since every round's placement is evaluated under its
@@ -469,6 +462,7 @@ def generate_offloading_scheme(
         rates = channel.planning_rates(bandwidths, [])
         seen_rates = {tuple(sorted(rates.items()))}
         best_combined = float("inf")
+        best_consumption = SystemConsumption()
         candidates: dict[str, set[int]] = {}
         for round_index in range(channel.planning_rounds):
             round_evaluator, round_moves, round_history = run_pass(rates)
@@ -484,10 +478,11 @@ def generate_offloading_scheme(
             combined = actual.combined(weights)
             if combined < best_combined:
                 best_combined = combined
+                best_consumption = actual
                 evaluator, moves, history = round_evaluator, round_moves, round_history
-            new_rates = channel.planning_rates(
-                bandwidths, active_users(round_evaluator.remote)
-            )
+            # The rates this round's co-offloading set implies are the
+            # ones its evaluation was priced at.
+            new_rates = actual.effective_bandwidth
             rates_key = tuple(sorted(new_rates.items()))
             if rates_key in seen_rates:
                 # Fixed point reached, or the iteration entered a cycle
@@ -507,10 +502,11 @@ def generate_offloading_scheme(
         # Flips that lower the evaluated system objective are accepted
         # until a full sweep is quiet.  Frozen users never flip; with a
         # single offloading user at full rate both directions are
-        # no-ops, preserving constant-``b`` parity.
+        # no-ops, preserving constant-``b`` parity.  A trial changes one
+        # user, so only that user's (local, remote, cut) is recomputed.
         placement = {uid: set(parts) for uid, parts in evaluator.remote.items()}
-        consumption = system.evaluate_placement(apps, placement)
-        best_combined = consumption.combined(weights)
+        consumption = best_consumption
+        terms = system.placement_terms(apps, placement)
         improved = True
         while improved:
             improved = False
@@ -526,19 +522,21 @@ def generate_offloading_scheme(
                     alternative = candidates[user_id]
                     if not alternative:
                         continue
-                trial = dict(placement)
-                trial[user_id] = alternative
-                trial_consumption = system.evaluate_placement(apps, trial)
+                trial_terms = dict(terms)
+                trial_terms[user_id] = apps[user_id].weights(alternative)
+                trial_consumption = system.price_terms(trial_terms)
                 trial_combined = trial_consumption.combined(weights)
                 if trial_combined < best_combined - _EPS:
-                    placement = trial
+                    placement[user_id] = alternative
+                    terms = trial_terms
                     consumption = trial_consumption
                     best_combined = trial_combined
                     improved = True
         final_remote = placement
         final_rates = dict(consumption.effective_bandwidth)
 
-    consumption = system.evaluate_placement(apps, final_remote)
+    if channel is None:
+        consumption = system.evaluate_placement(apps, final_remote)
     scheme = OffloadingScheme(
         remote_functions={
             user_id: {

@@ -1,11 +1,13 @@
 """Offloading schemes and the part-level view Algorithm 2 operates on.
 
-After compression and per-sub-graph cutting, each user's application is a
+After compression and per-sub-graph cutting, each application is a
 collection of *parts* — groups of functions that will be placed on the
 same side as a unit.  :class:`PartitionedApplication` precomputes every
 quantity the greedy loop needs (part computation weights, part-to-part
 communication, traffic to pinned-local functions) so that evaluating a
 candidate placement costs O(parts^2) arithmetic rather than graph scans.
+None of it depends on who runs the application or where its parts sit,
+so one partition serves every user of the same graph.
 """
 
 from __future__ import annotations
@@ -19,32 +21,40 @@ from repro.callgraph.model import FunctionCallGraph
 
 @dataclass(frozen=True)
 class SchemePart:
-    """One indivisible placement unit for one user."""
+    """One indivisible placement unit of an application."""
 
-    user_id: str
     part_id: int
     functions: frozenset[str]
     computation: float
     anchor_traffic: float
-    """Communication between this part and the user's pinned-local
+    """Communication between this part and the application's pinned-local
     functions; charged over the wireless link whenever the part is
     remote."""
 
-    @property
-    def key(self) -> tuple[str, int]:
-        """Globally unique (user, part) identifier."""
-        return (self.user_id, self.part_id)
-
 
 class PartitionedApplication:
-    """One user's application, sliced into placement parts.
+    """An application sliced into placement parts.
 
     ``inter_comm[(i, j)]`` (with ``i < j``) is the communication weight
     between parts ``i`` and ``j``; it crosses the wireless link exactly
     when the two parts sit on different sides.  Construction is one
     O(V + E) pass over the call graph, so callers that hold an instance
-    (the fleet's SLA check, admission and eviction replay) reuse it
-    rather than rebuild it.
+    (``plan_system``, the fleet's SLA check, admission and eviction
+    replay) reuse it rather than rebuild it.
+
+    Nothing here depends on the user or on a placement, so a partition
+    may be shared by every user of one graph.  *user_id* names the user
+    it is built for only in the errors a malformed slicing raises; the
+    partition does not keep it.  The per-part tables Algorithm 2 reads
+    on every candidate move are built once here, as plain lists indexed
+    by ``part_id``:
+
+    * ``computation[p]`` and ``anchor[p]`` — the part's
+      :class:`SchemePart` weights;
+    * ``adjacency[p]`` — ``(other part, weight)`` for every inter-part
+      edge of ``p``, in ``inter_comm`` order;
+    * ``w_total[p]`` — the sum of those weights, accumulated in the same
+      order.
     """
 
     def __init__(
@@ -53,7 +63,6 @@ class PartitionedApplication:
         call_graph: FunctionCallGraph,
         part_sets: Iterable[Iterable[str]],
     ) -> None:
-        self.user_id = user_id
         self.call_graph = call_graph
         graph = call_graph.graph
 
@@ -62,16 +71,20 @@ class PartitionedApplication:
         for part in cleaned:
             overlap = covered & part
             if overlap:
-                raise ValueError(f"parts overlap on functions {sorted(overlap)!r}")
+                raise ValueError(
+                    f"{user_id!r}: parts overlap on functions {sorted(overlap)!r}"
+                )
             covered |= part
         offloadable = set(call_graph.offloadable_functions())
         missing = offloadable - covered
         if missing:
-            raise ValueError(f"offloadable functions not covered by parts: {sorted(missing)!r}")
+            raise ValueError(
+                f"{user_id!r}: offloadable functions not covered by parts: {sorted(missing)!r}"
+            )
         extraneous = covered - offloadable
         if extraneous:
             raise ValueError(
-                f"parts contain unoffloadable functions: {sorted(extraneous)!r}"
+                f"{user_id!r}: parts contain unoffloadable functions: {sorted(extraneous)!r}"
             )
 
         membership: dict[str, int] = {}
@@ -104,7 +117,6 @@ class PartitionedApplication:
         # order (which follows the interpreter's hash seed).
         self.parts: list[SchemePart] = [
             SchemePart(
-                user_id=user_id,
                 part_id=index,
                 functions=functions,
                 computation=math.fsum(graph.node_weight(f) for f in functions),
@@ -114,6 +126,16 @@ class PartitionedApplication:
         ]
         self.pinned_computation = sum(graph.node_weight(f) for f in pinned)
 
+        self.computation: list[float] = [part.computation for part in self.parts]
+        self.anchor: list[float] = [part.anchor_traffic for part in self.parts]
+        self.adjacency: list[list[tuple[int, float]]] = [[] for _ in self.parts]
+        self.w_total: list[float] = [0.0] * len(self.parts)
+        for (i, j), weight in self.inter_comm.items():
+            self.adjacency[i].append((j, weight))
+            self.adjacency[j].append((i, weight))
+            self.w_total[i] += weight
+            self.w_total[j] += weight
+
     @property
     def part_count(self) -> int:
         """Number of placement parts."""
@@ -121,14 +143,21 @@ class PartitionedApplication:
 
     def remote_weight(self, remote_parts: set[int]) -> float:
         """Total computation weight of the remote-placed parts."""
-        return sum(p.computation for p in self.parts if p.part_id in remote_parts)
+        return sum(c for p, c in enumerate(self.computation) if p in remote_parts)
 
     def local_weight(self, remote_parts: set[int]) -> float:
         """Total local computation: pinned functions + local parts."""
-        local_parts = sum(
-            p.computation for p in self.parts if p.part_id not in remote_parts
-        )
+        local_parts = sum(c for p, c in enumerate(self.computation) if p not in remote_parts)
         return self.pinned_computation + local_parts
+
+    def weights(self, remote_parts: set[int]) -> tuple[float, float, float]:
+        """``(local, remote, cut)`` weights under *remote_parts*: all a
+        placement contributes to the user's pricing."""
+        return (
+            self.local_weight(remote_parts),
+            self.remote_weight(remote_parts),
+            self.cut_weight(remote_parts),
+        )
 
     def cut_weight(self, remote_parts: set[int]) -> float:
         """Communication crossing the device/server boundary.
@@ -140,9 +169,9 @@ class PartitionedApplication:
         for (i, j), weight in self.inter_comm.items():
             if (i in remote_parts) != (j in remote_parts):
                 total += weight
-        for part in self.parts:
-            if part.part_id in remote_parts:
-                total += part.anchor_traffic
+        for p, anchor in enumerate(self.anchor):
+            if p in remote_parts:
+                total += anchor
         return total
 
 

@@ -124,59 +124,57 @@ class MECSystem:
         number of co-offloading users under *this* placement, and the
         rates used are recorded on the returned consumption.
         """
-        remote_loads = {
-            user.user_id: apps[user.user_id].remote_weight(
-                remote_parts.get(user.user_id, set())
-            )
-            for user in self.users
-            if user.user_id in apps
-        }
-        allocation = self.allocation.allocate(self.server, remote_loads)
-        rates = self.effective_rates(apps, remote_parts)
+        return self.price_terms(self.placement_terms(apps, remote_parts))
 
-        consumption = SystemConsumption()
-        for user in self.users:
-            app = apps.get(user.user_id)
-            if app is None:
-                continue
-            parts_remote = remote_parts.get(user.user_id, set())
-            consumption.per_user[user.user_id] = price_user(
-                user.device,
-                app.local_weight(parts_remote),
-                remote_loads[user.user_id],
-                app.cut_weight(parts_remote),
-                rates.get(user.user_id, user.device.bandwidth),
-                allocation.capacity_for(user.user_id),
-                allocation.waiting_for(user.user_id),
-            )
-        consumption.effective_bandwidth = rates
-        return consumption
-
-    def effective_rates(
+    def placement_terms(
         self,
         apps: Mapping[str, PartitionedApplication],
         remote_parts: Mapping[str, set[int]],
-    ) -> dict[str, float]:
-        """Per-user effective uplink rates under the given placement.
+    ) -> dict[str, tuple[float, float, float]]:
+        """Each user's ``(local, remote, cut)`` weights under a placement.
 
-        Empty without a shared channel (every user keeps their private
-        bandwidth); otherwise ``b_i(n)`` with ``n`` the co-offloading
-        population of this placement.
+        Users without an application are left out.  These three numbers
+        are all :meth:`price_terms` reads of a placement, so a caller
+        that evaluates many placements differing in one user may reuse
+        the other users' entries.
         """
-        if self.channel is None:
-            return {}
-        active = [
-            user.user_id
-            for user in self.users
-            if user.user_id in apps
-            and apps[user.user_id].cut_weight(remote_parts.get(user.user_id, set())) > 0
-        ]
-        bandwidths = {
-            user.user_id: user.device.bandwidth
+        return {
+            user.user_id: apps[user.user_id].weights(remote_parts.get(user.user_id, set()))
             for user in self.users
             if user.user_id in apps
         }
-        return self.channel.planning_rates(bandwidths, active)
+
+    def price_terms(
+        self, terms: Mapping[str, tuple[float, float, float]]
+    ) -> SystemConsumption:
+        """Price per-user ``(local, remote, cut)`` weights (see
+        :meth:`placement_terms`) into system consumption."""
+        users = [user for user in self.users if user.user_id in terms]
+        allocation = self.allocation.allocate(
+            self.server, {user.user_id: terms[user.user_id][1] for user in users}
+        )
+        rates: dict[str, float] = {}
+        if self.channel is not None:
+            rates = self.channel.planning_rates(
+                {user.user_id: user.device.bandwidth for user in users},
+                [user.user_id for user in users if terms[user.user_id][2] > 0],
+            )
+
+        consumption = SystemConsumption()
+        for user in users:
+            user_id = user.user_id
+            local, remote, cut = terms[user_id]
+            consumption.per_user[user_id] = price_user(
+                user.device,
+                local,
+                remote,
+                cut,
+                rates.get(user_id, user.device.bandwidth),
+                allocation.capacity_for(user_id),
+                allocation.waiting_for(user_id),
+            )
+        consumption.effective_bandwidth = rates
+        return consumption
 
     def evaluate_scheme(
         self,

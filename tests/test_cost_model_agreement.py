@@ -118,7 +118,7 @@ def test_greedy_evaluator_matches_system_model(case):
         apps,
         remote,
         ObjectiveWeights(),
-        rates=system.effective_rates(apps, remote),
+        rates=model.effective_bandwidth,
     )
     assert evaluator.combined() == pytest.approx(model.combined(), rel=1e-12)
     if system.channel is None:

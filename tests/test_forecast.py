@@ -521,6 +521,30 @@ class TestAdmissionWorkCounts:
         assert fleet.stats().degraded_users == 3
         assert fleet.stats().cache_misses == misses
 
+    @pytest.mark.parametrize("action", ["reject", "degrade"])
+    def test_next_arrival_after_an_unplaced_one_is_not_planned_again(
+        self, fleet_profile, monkeypatch, action
+    ):
+        fleet = EdgeFleet(2, fleet_profile.server_capacity_per_user * 2)
+        app = synthesize_application("tight", n_functions=20, seed=5)
+        plans = count_calls(monkeypatch, OffloadingPlanner, "plan_user")
+        first = fleet.admit(
+            MobileDevice("u0", profile=fleet_profile.device),
+            clone(app),
+            sla=UserSLA(deadline=1e-3, on_infeasible=action),
+        )
+        assert (first.rejected, first.degraded) == (action == "reject", action == "degrade")
+        assert len(plans) == 1
+        second = fleet.admit(
+            MobileDevice("u1", profile=fleet_profile.device), clone(app), sla=UserSLA(1e6)
+        )
+        assert second.server_id is not None
+        assert len(plans) == 1
+        # The kept plan was peeked, not requested: the admission is the
+        # servers' only cache lookup, and it misses.
+        stats = fleet.stats()
+        assert (stats.cache_hits, stats.cache_misses) == (0, 1)
+
     def test_shared_app_prices_like_a_fresh_one_on_every_server(self, fleet_profile):
         fleet = loaded_fleet(fleet_profile)
         device = MobileDevice("new", profile=fleet_profile.device)

@@ -18,7 +18,13 @@ from repro.mec.devices import DeviceProfile, EdgeServer, MobileDevice
 from repro.mec.greedy import generate_offloading_scheme, initial_placement
 from repro.mec.scheme import PartitionedApplication
 from repro.mec.system import MECSystem, UserContext
-from repro.workloads.applications import synthesize_application
+from repro.service.http import graph_to_payload, parse_graph_payload
+from repro.workloads.applications import (
+    call_graph_from_weighted_graph,
+    synthesize_application,
+)
+from repro.workloads.netgen import NetgenConfig, netgen_graph
+from repro.workloads.profiles import quick_profile
 
 POLICIES = [
     EqualShareAllocation(),
@@ -298,3 +304,76 @@ def test_plan_system_never_worse_than_its_initial_placement(planned):
     )
     start_value = system.evaluate_placement(apps, start).combined()
     assert result.consumption.combined() <= start_value + 1e-9 * max(1.0, abs(start_value))
+
+
+@st.composite
+def renamed_apps(draw):
+    """One or two NETGEN apps, each parsed twice from the same payload:
+    once as generated and once with every function renamed.  The two
+    graphs are built by the same calls in the same order; only the names
+    differ, and the renaming scrambles their sort order.  Returns the
+    original graphs, the renamed graphs and each app's name mapping."""
+    originals, renamed, mappings = [], [], []
+    for k in range(draw(st.integers(1, 2))):
+        n_nodes = draw(st.integers(12, 48))
+        seed = draw(st.integers(0, 10_000))
+        config = NetgenConfig(n_nodes=n_nodes, n_edges=2 * n_nodes, seed=seed)
+        payload = graph_to_payload(
+            call_graph_from_weighted_graph(
+                netgen_graph(config), app_name=f"app{k}", unoffloadable_fraction=0.1, seed=seed
+            )
+        )
+        prefix = draw(st.sampled_from(["", "fn_", "Z", "µ-"]))
+        fresh = draw(st.permutations(range(n_nodes)))
+        names = {
+            entry["name"]: f"{prefix}{fresh[index]}.{k}"
+            for index, entry in enumerate(payload["functions"])
+        }
+        mappings.append(names)
+        originals.append(parse_graph_payload(payload))
+        renamed.append(
+            parse_graph_payload(
+                {
+                    **payload,
+                    "functions": [
+                        {**entry, "name": names[entry["name"]]} for entry in payload["functions"]
+                    ],
+                    "data_flows": [[names[u], names[v], w] for u, v, w in payload["data_flows"]],
+                }
+            )
+        )
+    return originals, renamed, mappings
+
+
+@given(renamed_apps(), st.integers(2, 4), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_plans_do_not_change_when_functions_are_renamed(apps, n_users, contended):
+    """Renaming functions (same weights, same insertion order) renames the
+    parts and changes nothing else: the bisections, Algorithm 2's moves
+    and history, and the final placement are equal."""
+    originals, renamed, mappings = apps
+    planner = make_planner("spectral")
+    for original, copy, mapping in zip(originals, renamed, mappings):
+        plan, renamed_plan = planner.plan_user(original), planner.plan_user(copy)
+        assert [frozenset(mapping[f] for f in part) for part in plan.parts] == renamed_plan.parts
+        assert plan.bisections == renamed_plan.bisections
+
+    profile = quick_profile()
+
+    def planned(graphs):
+        users = [
+            UserContext(MobileDevice(f"u{i}", profile=profile.device), graphs[i % len(graphs)])
+            for i in range(n_users)
+        ]
+        channel = (
+            SharedChannel(capacity=0.1 * n_users * profile.device.bandwidth) if contended else None
+        )
+        system = MECSystem(
+            EdgeServer(profile.server_capacity_per_user * n_users), users, channel=channel
+        )
+        return planner.plan_system(system, {user.user_id: user.call_graph for user in users})
+
+    before, after = planned(originals), planned(renamed)
+    assert after.greedy.moves == before.greedy.moves
+    assert after.greedy.history == before.greedy.history
+    assert after.greedy.remote_parts == before.greedy.remote_parts
