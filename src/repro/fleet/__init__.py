@@ -16,13 +16,14 @@ the paper's model.  Six pieces:
 * :mod:`repro.fleet.migration` — pricing of user moves between servers
   (re-transmit offloaded input data at the link rate plus a handoff
   latency); rebalancing is cost-aware and every move is charged;
-* :mod:`repro.fleet.modelled` — the shared hypothetical-deployment
-  evaluator behind both cost-aware rebalancing gains and SLA admission
-  feasibility (one modelled-latency path, no drift);
+* :mod:`repro.fleet.modelled` — the modelled costs behind cost-aware
+  rebalancing gains and SLA admission feasibility, both asked of the
+  server's own ledger (one modelled-latency path, no drift);
 * :mod:`repro.fleet.fleet` — :class:`EdgeFleet`, holding one
   :class:`~repro.mec.online.OnlinePlanner` and
-  :class:`~repro.service.plan_cache.PlanCache` per server, fleet-wide
-  :class:`~repro.mec.system.SystemConsumption` aggregation,
+  :class:`~repro.service.plan_cache.PlanCache` per server — the planner
+  is the server's only ledger of users, placements and prices —
+  fleet-wide :class:`~repro.mec.system.SystemConsumption` aggregation,
   rebalancing, and degraded-user retry;
 * :mod:`repro.fleet.failover` — server-outage handling
   (:class:`~repro.simulation.faults.ServerOutage`): drain, re-admit on
@@ -59,11 +60,7 @@ from repro.fleet.latency import (
     make_latency_map,
 )
 from repro.fleet.migration import MigrationCost, MigrationCostModel
-from repro.fleet.modelled import (
-    hypothetical_consumption,
-    hypothetical_remote_parts,
-    modelled_user_cost,
-)
+from repro.fleet.modelled import hypothetical_consumption, modelled_user_cost
 from repro.fleet.routing import (
     BALANCE_METRICS,
     ROUTING_POLICIES,
@@ -103,7 +100,6 @@ __all__ = [
     "TickReport",
     "all_local_breakdown",
     "hypothetical_consumption",
-    "hypothetical_remote_parts",
     "modelled_user_cost",
     "FailoverReport",
     "handle_outage",

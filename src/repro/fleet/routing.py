@@ -129,9 +129,6 @@ class RoutingPolicy(abc.ABC):
         with nothing to choose from.
         """
 
-    def forget(self, server_id: str) -> None:
-        """Drop any routing state tied to *server_id* (failover hook)."""
-
 
 class RoundRobinRouting(RoutingPolicy):
     """Cycle through the eligible servers in sorted-id order.
@@ -158,11 +155,6 @@ class RoundRobinRouting(RoutingPolicy):
             choice = ordered[index % len(ordered)]
         self._last = choice
         return choice
-
-    def forget(self, server_id: str) -> None:
-        # The cursor is an id watermark, not an index: a dead server's id
-        # still orders correctly against the survivors, so nothing to do.
-        pass
 
 
 class LeastLoadedRouting(RoutingPolicy):
@@ -330,10 +322,6 @@ class FingerprintAffinityRouting(RoutingPolicy):
             if rtts[server_id] <= nearest + self.latency_slack:
                 return server_id
         return self._ring[index][1]  # pragma: no cover - nearest always qualifies
-
-    def forget(self, server_id: str) -> None:
-        if server_id in self._members:
-            self._rebuild(self._members - {server_id})
 
 
 ROUTING_POLICIES = ("affinity", "forecast", "least-loaded", "power-of-two", "round-robin")
