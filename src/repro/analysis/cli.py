@@ -3,13 +3,11 @@
 Scans the given paths with the built-in rule battery and prints
 findings as text (one per line, ``path:line rule message``), JSON (the
 CI artifact schema), or SARIF 2.1.0 (``--sarif``, for code-review
-ingestion).  A findings baseline (``--baseline`` / ``--write-baseline``,
-see :mod:`repro.analysis.baseline`) lets a new rule land before its
-legacy findings are burned down.
+ingestion).
 
 Exit codes: ``0`` clean (or findings without ``--strict``), ``1``
 findings — errors *or* warnings — under ``--strict``, ``2`` bad
-invocation (unknown rule selector, missing path, corrupt baseline).
+invocation (unknown rule selector, missing path).
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import time
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.analysis.baseline import load_baseline, write_baseline
 from repro.analysis.engine import all_rules, analyze_paths, select_rules
 from repro.analysis.sarif import report_to_sarif
 
@@ -61,24 +58,10 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="also write the report as SARIF 2.1.0 to FILE",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="divert findings recorded in FILE (see --write-baseline) out "
-        "of the failure set; they still appear under 'baselined' in the "
-        "JSON artifact",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        default=None,
-        help="record every current finding's fingerprint to FILE and exit 0",
-    )
-    parser.add_argument(
         "--strict",
         action="store_true",
         help="exit 1 if any finding (error or warning) remains after "
-        "suppressions and the baseline",
+        "suppressions",
     )
     parser.add_argument(
         "--list-rules",
@@ -106,27 +89,9 @@ def run(args: argparse.Namespace) -> int:
         print(f"repro-lint: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
 
-    fingerprints: set[str] | None = None
-    if args.baseline:
-        try:
-            fingerprints = load_baseline(Path(args.baseline))
-        except ValueError as exc:
-            print(f"repro-lint: {exc}", file=sys.stderr)
-            return 2
-
     started = time.perf_counter()
-    report = analyze_paths(paths, rules, baseline=fingerprints)
+    report = analyze_paths(paths, rules)
     elapsed = time.perf_counter() - started
-
-    if args.write_baseline:
-        count = write_baseline(
-            Path(args.write_baseline), report.findings + report.baselined
-        )
-        print(
-            f"repro-lint: wrote {count} finding(s) to baseline "
-            f"{args.write_baseline}"
-        )
-        return 0
 
     # Timing is injected here, not in to_dict(): the report itself stays
     # deterministic, so two runs over the same tree are byte-identical.
@@ -159,8 +124,6 @@ def run(args: argparse.Namespace) -> int:
             f"{report.files_scanned} file(s) scanned",
             f"{report.suppressed_count} finding(s) suppressed",
         ]
-        if report.baselined:
-            extras.append(f"{len(report.baselined)} finding(s) baselined")
         print(f"repro-lint: {status} — {', '.join(extras)}")
 
     if report.findings and args.strict:

@@ -10,7 +10,7 @@ facts (a deadlock cycle spanning three files, a blocking call four
 frames below an ``async def``).  The engine owns everything around
 that — file discovery, parsing, graph construction, suppression
 matching (:mod:`repro.analysis.suppressions`), the suppression audit,
-baseline filtering, and stable ordering of results — so each rule stays
+and stable ordering of results — so each rule stays
 a pure check.
 
 Registration is by decorator::
@@ -204,10 +204,6 @@ class AnalysisReport:
     findings: list[Finding] = field(default_factory=list)
     files_scanned: int = 0
     suppressions: list[Suppression] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
-    """Findings acknowledged by the ``--baseline`` file: excluded from
-    :attr:`findings` (and from ``--strict`` failure) but still reported
-    in the artifact so the remaining debt stays visible."""
 
     @property
     def suppressed_count(self) -> int:
@@ -228,14 +224,14 @@ class AnalysisReport:
     def to_dict(self) -> dict[str, object]:
         """The JSON artifact schema (uploaded by CI).
 
-        Version history: 2 added per-finding ``severity`` and the
-        ``baselined`` list.
+        Version history: 2 added per-finding ``severity`` and a list
+        of findings acknowledged by a findings file; 3 removed that
+        list with the file option.
         """
         return {
-            "version": 2,
+            "version": 3,
             "files_scanned": self.files_scanned,
             "findings": [finding.to_dict() for finding in self.findings],
-            "baselined": [finding.to_dict() for finding in self.baselined],
             "suppressions": [
                 {
                     "path": suppression.path,
@@ -385,28 +381,13 @@ def analyze_sources(
 def analyze_paths(
     paths: Sequence[Path | str],
     rules: Sequence[Rule] | None = None,
-    baseline: set[str] | None = None,
 ) -> AnalysisReport:
-    """Analyze every Python file under *paths* and return the report.
-
-    *baseline* is a set of finding fingerprints (see
-    :mod:`repro.analysis.baseline`) to divert into
-    :attr:`AnalysisReport.baselined`.
-    """
+    """Analyze every Python file under *paths* and return the report."""
     active = list(rules) if rules is not None else all_rules()
     files = iter_python_files(Path(path) for path in paths)
     units = [_parse_unit(file.read_text(encoding="utf-8"), str(file)) for file in files]
     findings, suppressions = _analyze_units(units, active)
 
-    report = AnalysisReport(files_scanned=len(files), suppressions=suppressions)
-    if baseline:
-        from repro.analysis.baseline import finding_fingerprint
-
-        for finding in findings:
-            if finding_fingerprint(finding) in baseline:
-                report.baselined.append(finding)
-            else:
-                report.findings.append(finding)
-    else:
-        report.findings = findings
-    return report
+    return AnalysisReport(
+        findings=findings, files_scanned=len(files), suppressions=suppressions
+    )

@@ -224,10 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
              "utilisation breaches the threshold (all charge every move)",
     )
     fleet.add_argument(
-        "--proactive", action="store_true",
-        help="shorthand for --rebalance proactive",
-    )
-    fleet.add_argument(
         "--sla", type=float, default=None, metavar="DEADLINE",
         help="attach a per-user SLA deadline (scalarised E+T budget) to "
              "every arrival; admission filters servers that would breach it",
@@ -727,8 +723,6 @@ def cmd_fleet_bench(args: argparse.Namespace) -> int:
 
     if args.smoke:
         args.requests, args.pool, args.graph_size, args.servers = 16, 4, 30, 4
-    if args.proactive:
-        args.rebalance = "proactive"
 
     policies = args.policies or list(ROUTING_POLICIES)
     unknown = sorted(set(policies) - set(ROUTING_POLICIES))

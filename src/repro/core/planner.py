@@ -23,7 +23,7 @@ from collections.abc import Hashable, Mapping
 from repro.callgraph.model import FunctionCallGraph
 from repro.compression.compressor import GraphCompressor
 from repro.core.config import PlannerConfig
-from repro.core.results import CutOutcome, CutStrategy, PlanResult, UserPlan
+from repro.core.results import CutStrategy, PlanResult, UserPlan
 from repro.graphs.components import connected_components
 from repro.graphs.weighted_graph import WeightedGraph
 from repro.mec.greedy import generate_offloading_scheme
@@ -259,7 +259,3 @@ class OffloadingPlanner:
             return request_fingerprint(call_graph, self.config, self.strategy_name)
         except FingerprintError:
             return None
-
-    def cut_graph(self, graph: WeightedGraph) -> CutOutcome:
-        """Expose the configured cut strategy (used by ablation benches)."""
-        return self.cut_strategy(graph)

@@ -4,9 +4,10 @@ Integrates the fleet with :mod:`repro.simulation.faults`: a
 :class:`~repro.simulation.faults.ServerOutage` names a fleet server and
 a time, and :func:`handle_outage` plays the recovery out — the dead
 server's users are drained and re-routed through the fleet's normal
-admission path (so the routing policy, per-server caches and any
-``max_users_per_server`` cap all apply), and whoever no surviving server
-can take falls back to degraded all-local execution.  No user is ever
+admission path (so the routing policy, per-server caches, any
+``max_users_per_server`` cap and each user's SLA deadline all apply),
+and whoever no surviving server can take falls back to degraded
+all-local execution.  No user is ever
 lost: every drained user ends up either re-admitted or degraded, and
 both states have finite ``E + T`` by construction.
 
@@ -64,19 +65,22 @@ def handle_outage(fleet: EdgeFleet, outage: ServerOutage) -> FailoverReport:
     """Kill ``outage.server_id`` and re-admit its users on the survivors.
 
     Users are re-admitted in their original admission order through
-    :meth:`EdgeFleet.admit_many`, so re-routing respects the fleet's
-    policy and capacity caps.  Each reassigned user is
-    charged the migration cost of the move (their offloaded input data
-    did not teleport to the survivor); with zero surviving capacity
-    every drained user degrades to all-local execution instead of being
-    dropped.  Degraded users — from this outage or earlier — are then
+    :meth:`EdgeFleet.readmit`, so re-routing respects the fleet's
+    policy, capacity caps and each user's SLA, with the request key and
+    plan the dead server held.  Each reassigned user is charged the
+    migration cost of the move (their offloaded input data did not
+    teleport to the survivor).  A user no survivor can take — zero
+    surviving capacity, or no server that meets their deadline —
+    degrades to all-local execution instead of being dropped, even
+    under an SLA that would reject a new arrival.  Degraded users — from this outage or earlier — are then
     offered whatever capacity remains via
     :meth:`EdgeFleet.retry_degraded`.
     """
     drained = fleet.kill_server(outage.server_id)
     report = FailoverReport(server_id=outage.server_id, drained_users=len(drained))
     weights = fleet.config.objective
-    for admission in fleet.admit_many(drained):
+    for user, key in drained:
+        admission = fleet.readmit(user, key)
         if admission.degraded:
             report.degraded.append(admission.user_id)
         else:

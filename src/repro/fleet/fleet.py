@@ -29,7 +29,7 @@ moves are never free.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING
 
@@ -56,6 +56,10 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.results import CutStrategy, UserPlan
     from repro.mec.objective import ObjectiveWeights
     from repro.mobility.handover import HandoverDecision, HandoverPolicy
+
+
+PLAN_CACHE_CAPACITY = 256
+"""Bound on each server's plan cache and on the fleet's unplaced plans."""
 
 
 def all_local_breakdown(device: MobileDevice, graph: FunctionCallGraph) -> ConsumptionBreakdown:
@@ -121,7 +125,6 @@ class FleetServer:
         cut_strategy: "CutStrategy",
         config: "PlannerConfig | None" = None,
         allocation: AllocationPolicy | None = None,
-        cache_capacity: int = 256,
         channel: SharedChannel | None = None,
     ) -> None:
         self.server_id = server_id
@@ -129,7 +132,7 @@ class FleetServer:
         self.planner = OnlinePlanner(
             server, cut_strategy, config=config, allocation=allocation, channel=channel
         )
-        self.cache = PlanCache(capacity=cache_capacity)
+        self.cache = PlanCache(capacity=PLAN_CACHE_CAPACITY)
         self._keys: dict[str, str] = {}
         """Request key of each admitted user."""
 
@@ -258,10 +261,11 @@ class FleetServer:
             raise KeyError(f"user {user_id!r} not admitted on {self.server_id!r}")
         return self.planner.evict(user_id), key
 
-    def drain(self) -> list[OnlineUser]:
-        """Remove and return every admitted user (outage path)."""
-        self._keys.clear()
-        return self.planner.clear()
+    def drain(self) -> list[tuple[OnlineUser, str]]:
+        """Remove every admitted user; return each with its request key
+        (outage path)."""
+        keys, self._keys = self._keys, {}
+        return [(user, keys[user.user_id]) for user in self.planner.clear()]
 
     def current_consumption(self) -> SystemConsumption:
         """The ledger's price of this server's deployment (empty when idle)."""
@@ -336,9 +340,9 @@ class EdgeFleet:
 
     Servers are homogeneous by default (``n_servers`` servers of
     ``capacity_per_server`` each); pass *capacities* (one total capacity
-    per server, e.g. ``[250, 500, 1000]``) or *servers* for a
-    heterogeneous pool.  Every admission computes the request's content
-    fingerprint, asks the routing policy for a target — each candidate's
+    per server, e.g. ``[250, 500, 1000]``) for a heterogeneous pool.
+    Every admission computes the request's content fingerprint, asks the
+    routing policy for a target — each candidate's
     :class:`~repro.fleet.routing.ServerLoad` carries its utilisation and
     the requesting user's RTT from *latency* — and admits on that
     server, hitting its plan cache when a structurally identical app was
@@ -368,13 +372,10 @@ class EdgeFleet:
         capacity_per_server: float = 500.0,
         *,
         capacities: Sequence[float] | None = None,
-        servers: Mapping[str, EdgeServer] | None = None,
         strategy: str = "spectral",
         config: "PlannerConfig | None" = None,
         allocation: AllocationPolicy | None = None,
         routing: RoutingPolicy | None = None,
-        metrics: MetricsRegistry | None = None,
-        cache_capacity: int = 256,
         max_users_per_server: int | None = None,
         latency: LatencyMap | None = None,
         migration: MigrationCostModel | None = None,
@@ -384,23 +385,18 @@ class EdgeFleet:
     ) -> None:
         from repro.core.baselines import make_planner
 
-        if servers is None:
-            if capacities is not None:
-                per_server = list(capacities)
-                if not per_server:
-                    raise ValueError("capacities must name at least one server")
-            else:
-                if n_servers < 1:
-                    raise ValueError(f"n_servers must be >= 1, got {n_servers}")
-                per_server = [capacity_per_server] * n_servers
-            servers = {
-                f"edge-{index:02d}": EdgeServer(capacity)
-                for index, capacity in enumerate(per_server)
-            }
-        elif capacities is not None:
-            raise ValueError("pass either servers= or capacities=, not both")
-        if not servers:
-            raise ValueError("a fleet needs at least one server")
+        if capacities is not None:
+            per_server = list(capacities)
+            if not per_server:
+                raise ValueError("capacities must name at least one server")
+        else:
+            if n_servers < 1:
+                raise ValueError(f"n_servers must be >= 1, got {n_servers}")
+            per_server = [capacity_per_server] * n_servers
+        servers = {
+            f"edge-{index:02d}": EdgeServer(capacity)
+            for index, capacity in enumerate(per_server)
+        }
         if max_users_per_server is not None and max_users_per_server < 1:
             raise ValueError(
                 f"max_users_per_server must be >= 1, got {max_users_per_server}"
@@ -410,7 +406,7 @@ class EdgeFleet:
         self._template = template
         self.config = template.config
         self.routing = routing or RoundRobinRouting()
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.max_users_per_server = max_users_per_server
         self.latency = latency or ZeroLatency()
         self.migration = migration or MigrationCostModel()
@@ -430,7 +426,6 @@ class EdgeFleet:
                 template.cut_strategy,
                 config=template.config,
                 allocation=allocation,
-                cache_capacity=cache_capacity,
                 channel=channel,
             )
             for server_id, server in servers.items()
@@ -438,7 +433,7 @@ class EdgeFleet:
         self._dead: dict[str, FleetServer] = {}
         self._owner: dict[str, str] = {}
         self._degraded: dict[str, _DegradedUser] = {}
-        self._unplaced_plans = PlanCache(capacity=cache_capacity)
+        self._unplaced_plans = PlanCache(capacity=PLAN_CACHE_CAPACITY)
         """Plans of arrivals no server took (degraded or rejected), by
         request key, for :meth:`_lookup_plan`: the next arrival of the
         same app is not planned again.  Bounded like a server cache, and
@@ -500,12 +495,14 @@ class EdgeFleet:
         key: str | None = None,
         kept_plan: "UserPlan | None" = None,
     ) -> FleetAdmission:
-        """The admission path behind :meth:`admit` and :meth:`retry_degraded`.
+        """The admission path behind :meth:`admit`, :meth:`retry_degraded`
+        and :meth:`readmit`.
 
         A retried user brings the *key* and *kept_plan* its failed
-        admission computed: the key skips re-fingerprinting, and the
-        plan stands in for a fresh one only where one would have been
-        made, after the cache lookup misses.
+        admission computed, a drained user those its dead server held:
+        the key skips re-fingerprinting, and the plan stands in for a
+        fresh one only where one would have been made, after the cache
+        lookup misses.
         """
         user_id = device.device_id
         started = time.perf_counter()
@@ -531,6 +528,8 @@ class EdgeFleet:
             if not eligible:
                 return self._admit_infeasible(device, graph, sla, key, plan)
             prepared = (plan, app)
+        elif kept_plan is not None:
+            prepared = (kept_plan, PartitionedApplication(user_id, graph, kept_plan.parts))
         target = self.routing.route(
             key,
             [
@@ -944,7 +943,7 @@ class EdgeFleet:
         return gain
 
     def _next_rebalance_move(
-        self, tolerance: int, cost_aware: bool
+        self, cost_aware: bool
     ) -> tuple[FleetServer, FleetServer, str] | None:
         """Pick the next (src, dst, user) move, or ``None`` to stop.
 
@@ -953,7 +952,7 @@ class EdgeFleet:
         admission does, never overfilling a target past the cap.  A
         move is only proposed while it strictly reduces the user-count
         spread (a spread of 1 cannot improve; moving would just swap
-        which server is busiest, looping forever at ``tolerance=0``).
+        which server is busiest, and the pass would never end).
         Cost-aware mode additionally requires the best candidate's
         modelled gain to exceed its migration cost.
         """
@@ -966,7 +965,7 @@ class EdgeFleet:
             return None
         idlest = min(targets, key=lambda s: (s.users, s.server_id))
         spread = busiest.users - idlest.users
-        if spread <= tolerance or spread <= 1:
+        if spread <= 1:
             return None
         if not cost_aware:
             return busiest, idlest, next(reversed(busiest.admitted))
@@ -1040,9 +1039,7 @@ class EdgeFleet:
         _, _, dst = min(feasible, key=lambda item: (item[0], item[1]))
         return dst, user_id, weight
 
-    def _rebalance_proactive(
-        self, max_moves: int | None, horizon: int, threshold: float
-    ) -> int:
+    def _rebalance_proactive(self, horizon: int, threshold: float) -> int:
         """Drain servers whose *forecasted* utilisation breaches threshold.
 
         Seeds a per-server predicted-utilisation map from the telemetry
@@ -1062,7 +1059,7 @@ class EdgeFleet:
                 outlook = server.utilisation
             predicted[server_id] = max(outlook, 0.0)
         moves = 0
-        while max_moves is None or moves < max_moves:
+        while True:
             breaching = sorted(
                 (sid for sid, value in predicted.items() if value > threshold),
                 key=lambda sid: (-predicted[sid], sid),
@@ -1087,8 +1084,6 @@ class EdgeFleet:
 
     def rebalance(
         self,
-        max_moves: int | None = None,
-        tolerance: int = 1,
         *,
         cost_aware: bool = True,
         proactive: bool = False,
@@ -1101,17 +1096,17 @@ class EdgeFleet:
         users and admits it (with its recorded plan — no replanning) on
         the idlest *eligible* server (``max_users_per_server`` is
         enforced on move targets exactly as on admission), until the
-        user-count spread is within *tolerance*, no move can improve it,
-        or *max_moves* is reached.  This is the hook a supervisor calls
-        after failover or a burst of affinity-skewed arrivals.
+        user-count spread is at most 1 or no move can improve it.  This
+        is the hook a supervisor calls after failover or a burst of
+        affinity-skewed arrivals.
 
         Proactive (``proactive=True``): instead of reacting to the
         spread the fleet *observes*, moves drain servers whose
         utilisation the telemetry *forecasts* above
         *utilisation_threshold* at *horizon* ticks out — the hotspot is
         relieved before it materialises.  Requires the fleet to have
-        been built with a forecaster (the default); *tolerance* and
-        *cost_aware* do not apply.
+        been built with a forecaster (the default); *cost_aware* does
+        not apply.
 
         Moves are not free in either mode: each one is charged through
         the fleet's :class:`~repro.fleet.migration.MigrationCostModel`
@@ -1125,8 +1120,6 @@ class EdgeFleet:
         gated).  Afterwards, any freed capacity is offered to degraded
         users via :meth:`retry_degraded`.
         """
-        if tolerance < 0:
-            raise ValueError(f"tolerance must be >= 0, got {tolerance}")
         if proactive:
             if self.telemetry is None:
                 raise ValueError(
@@ -1135,13 +1128,11 @@ class EdgeFleet:
                 )
             if horizon < 1:
                 raise ValueError(f"horizon must be >= 1, got {horizon}")
-            moves = self._rebalance_proactive(
-                max_moves, horizon, utilisation_threshold
-            )
+            moves = self._rebalance_proactive(horizon, utilisation_threshold)
         else:
             moves = 0
-            while max_moves is None or moves < max_moves:
-                move = self._next_rebalance_move(tolerance, cost_aware)
+            while True:
+                move = self._next_rebalance_move(cost_aware)
                 if move is None:
                     break
                 busiest, idlest, user_id = move
@@ -1152,24 +1143,40 @@ class EdgeFleet:
         self._record_tick()
         return moves
 
-    def kill_server(self, server_id: str) -> list[tuple[MobileDevice, FunctionCallGraph]]:
+    def kill_server(self, server_id: str) -> list[tuple[OnlineUser, str]]:
         """Take *server_id* out of the pool; return its drained users.
 
-        The server's planner state and cache are discarded (the machine
-        is gone); callers — normally
-        :func:`repro.fleet.failover.handle_outage` — re-admit the
-        returned users on the survivors.
+        The server's users are drained and its ledger emptied; the
+        server itself, plan cache included, is kept aside for
+        :meth:`revive_server`.  Callers — normally
+        :func:`repro.fleet.failover.handle_outage` — re-admit each
+        returned user, with its request key, on the survivors through
+        :meth:`readmit`.
         """
         server = self.servers.pop(server_id, None)
         if server is None:
             raise KeyError(f"unknown or already-dead server {server_id!r}")
         self._dead[server_id] = server
         drained = server.drain()
-        for entry in drained:
-            self._owner.pop(entry.device.device_id, None)
+        for user, _ in drained:
+            self._owner.pop(user.user_id, None)
         self.metrics.counter("fleet_server_outages").inc()
         self.metrics.gauge(f"fleet_users_{server_id}").set(0)
-        return [(entry.device, entry.graph) for entry in drained]
+        return drained
+
+    def readmit(self, user: OnlineUser, key: str) -> FleetAdmission:
+        """Re-admit a user drained from a dead server (failover path).
+
+        The user goes through the standard admission path with their
+        recorded SLA, request *key* and plan, as :meth:`retry_degraded`
+        does: no re-fingerprinting, no re-planning.  A user already in
+        the fleet is never turned away: where the SLA would reject, the
+        user degrades to all-local execution instead and stays queued.
+        """
+        sla = self._slas.get(user.user_id)
+        if sla is not None and sla.on_infeasible == "reject":
+            sla = replace(sla, on_infeasible="degrade")
+        return self._admit(user.device, user.graph, sla, key, user.plan)
 
     def revive_server(self, server_id: str) -> list[FleetAdmission]:
         """Return a previously-killed server to the pool (recovery hook).

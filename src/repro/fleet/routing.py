@@ -256,6 +256,10 @@ def _ring_hash(value: str) -> int:
     return int.from_bytes(hashlib.sha256(value.encode("utf-8")).digest()[:8], "big")
 
 
+VIRTUAL_NODES = 64
+"""Points each server takes on the affinity hash ring."""
+
+
 class FingerprintAffinityRouting(RoutingPolicy):
     """Consistent hashing on the request fingerprint.
 
@@ -263,9 +267,10 @@ class FingerprintAffinityRouting(RoutingPolicy):
     key :class:`~repro.service.plan_cache.PlanCache` uses) onto a ring
     of virtual nodes, so structurally identical apps land on the same
     server and hit its plan cache — the fleet-wide hit rate matches a
-    single shared cache, without sharing anything.  ``replicas``
-    virtual nodes per server smooth the key distribution; removing a
-    server (failover) remaps only the keys that lived on it.
+    single shared cache, without sharing anything.
+    :data:`VIRTUAL_NODES` virtual nodes per server smooth the key
+    distribution; removing a server (failover) remaps only the keys that
+    lived on it.
 
     *latency_slack* trades that cache locality against proximity: when
     set, candidates are considered in ring order (the affinity
@@ -277,21 +282,18 @@ class FingerprintAffinityRouting(RoutingPolicy):
 
     name = "affinity"
 
-    def __init__(self, replicas: int = 64, latency_slack: float | None = None) -> None:
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
+    def __init__(self, latency_slack: float | None = None) -> None:
         if latency_slack is not None and latency_slack < 0:
             raise ValueError(f"latency_slack must be >= 0, got {latency_slack}")
-        self.replicas = replicas
         self.latency_slack = latency_slack
         self._ring: list[tuple[int, str]] = []
         self._members: frozenset[str] = frozenset()
 
     def _rebuild(self, server_ids: frozenset[str]) -> None:
         ring = [
-            (_ring_hash(f"{server_id}#{replica}"), server_id)
+            (_ring_hash(f"{server_id}#{node}"), server_id)
             for server_id in server_ids
-            for replica in range(self.replicas)
+            for node in range(VIRTUAL_NODES)
         ]
         ring.sort()
         self._ring = ring

@@ -12,11 +12,11 @@ effective per-user rate falls as the co-offloading population grows.
 
 * a total channel ``capacity`` (data units/s) shared by all users who
   currently transmit (cut weight > 0);
-* a per-user :class:`ChannelQuality` — transmission power, channel gain
-  and noise in the spirit of the COSIM device model — collapsed into a
-  normalised spectral efficiency via ``log2(1 + SNR)``;
-* an access scheme (equal-share TDMA to start): ``n`` co-offloading
-  users each get a ``1/n`` time share of the spectrum.
+* a per-user :class:`ChannelQuality` — the channel gain, in the spirit
+  of the COSIM device model — collapsed into a normalised spectral
+  efficiency via ``log2(1 + gain)``;
+* equal-share TDMA access: ``n`` co-offloading users each get a ``1/n``
+  time share of the spectrum.
 
 The effective rate is always capped by the device's own uplink ``b_i``
 — a generous channel can never make a slow handset upload faster than
@@ -39,49 +39,30 @@ from collections.abc import Collection, Mapping
 from repro.utils.rng import RandomSource
 from repro.utils.validation import ensure_positive
 
-ACCESS_SCHEMES = ("tdma",)
-"""Supported multiple-access disciplines.  ``"tdma"`` gives every
-co-offloading user an equal ``1/n`` time share of the spectrum."""
-
-DEFAULT_PLANNING_ROUNDS = 8
+PLANNING_ROUNDS = 8
 """Fixed-point budget for rate/placement iteration in the greedy."""
 
 
 @dataclass(frozen=True)
 class ChannelQuality:
-    """One user's link quality: power, gain and noise (COSIM-style).
+    """One user's link quality, reduced to its channel gain.
 
-    The three physical-layer knobs collapse into a single normalised
-    spectral efficiency: ``log2(1 + SNR) / log2(1 + reference_SNR)``,
-    so the default quality (``SNR == reference``) is exactly ``1.0``
-    and a user's share of the channel scales with how good their link
-    actually is.
+    The gain plays the part of the link's SNR (transmit power and noise
+    both at ``1.0``) and collapses into a normalised spectral efficiency
+    ``log2(1 + gain)``, so the default quality (``gain == 1``) is
+    exactly ``1.0`` and a user's share of the channel scales with how
+    good their link actually is.
     """
-
-    transmit_power: float = 1.0
-    """Relative transmission power (shapes SNR only; the *energy* price
-    of transmission stays the device's ``p_t``)."""
 
     gain: float = 1.0
     """Channel gain between the user and the server."""
 
-    noise: float = 1.0
-    """Noise power on the user's link."""
-
     def __post_init__(self) -> None:
-        ensure_positive(self.transmit_power, "transmit_power")
         ensure_positive(self.gain, "gain")
-        ensure_positive(self.noise, "noise")
 
-    @property
-    def snr(self) -> float:
-        """Signal-to-noise ratio ``p * g / sigma``."""
-        return self.transmit_power * self.gain / self.noise
-
-    def efficiency(self, reference_snr: float = 1.0) -> float:
-        """Normalised spectral efficiency ``log2(1+SNR)/log2(1+ref)``."""
-        ensure_positive(reference_snr, "reference_snr")
-        return math.log2(1.0 + self.snr) / math.log2(1.0 + reference_snr)
+    def efficiency(self) -> float:
+        """Normalised spectral efficiency ``log2(1 + gain)``."""
+        return math.log2(1.0 + self.gain)
 
 
 @dataclass(frozen=True)
@@ -96,45 +77,23 @@ class SharedChannel:
     capacity: float
     """Total channel capacity (data units/s) split among active users."""
 
-    access: str = "tdma"
-    """Multiple-access scheme (see :data:`ACCESS_SCHEMES`)."""
-
-    reference_snr: float = 1.0
-    """SNR at which a user's spectral efficiency is exactly ``1.0``."""
-
     quality: Mapping[str, ChannelQuality] = field(default_factory=dict)
     """Per-user quality overrides; absent users get the default
     (efficiency exactly ``1.0``)."""
 
-    planning_rounds: int = DEFAULT_PLANNING_ROUNDS
-    """Upper bound on greedy rate/placement fixed-point iterations."""
-
     def __post_init__(self) -> None:
         ensure_positive(self.capacity, "capacity")
-        ensure_positive(self.reference_snr, "reference_snr")
-        if self.access not in ACCESS_SCHEMES:
-            raise ValueError(
-                f"unknown access scheme {self.access!r}; expected one of {ACCESS_SCHEMES}"
-            )
-        if self.planning_rounds < 1:
-            raise ValueError(
-                f"planning_rounds must be >= 1, got {self.planning_rounds}"
-            )
 
     # ------------------------------------------------------------------
-    def quality_for(self, user_id: str) -> ChannelQuality:
-        """The user's quality profile (default quality when absent)."""
-        return self.quality.get(user_id, ChannelQuality())
-
     def efficiency_for(self, user_id: str) -> float:
         """The user's normalised spectral efficiency."""
         quality = self.quality.get(user_id)
         if quality is None:
-            # Default quality at the reference SNR: exactly 1.0, with no
-            # float round-trip through log2 — the single-user parity
-            # guarantee rests on this short-circuit.
+            # Default quality: exactly 1.0, with no float round-trip
+            # through log2 — the single-user parity guarantee rests on
+            # this short-circuit.
             return 1.0
-        return quality.efficiency(self.reference_snr)
+        return quality.efficiency()
 
     def rate_for(self, user_id: str, n_active: int, device_bandwidth: float) -> float:
         """Effective uplink rate ``b_i(n)`` for one user.

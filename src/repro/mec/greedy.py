@@ -21,9 +21,19 @@ candidate (O(moves * parts * users) full evaluations).  Here a
 :class:`PlacementEvaluator` computes each candidate move incrementally —
 only the moved user's energy terms and the server-time aggregate change —
 and a lazy-greedy priority queue (re-validate the top candidate, accept
-if still best) avoids rescanning all parts per move.  ``exhaustive=True``
-forces the textbook full scan; tests assert both give the same scheme on
-small systems.
+if it still improves) avoids rescanning all parts per move.
+``exhaustive=True`` forces the textbook full scan.
+
+The two are not equivalent.  The queue is keyed by each candidate's
+last-known value, and a move can make another candidate *better* than
+its key says, so the lazy loop can take another path or stop where the
+full scan still finds an improving move.  ``GOLDEN_GREEDY`` in
+``tests/test_hotpath_parity.py`` pins both: on seeds 1, 4 and 7 the
+lazy loop stops at 43.22, 44.71 and 43.84 where the full scan reaches
+34.94, 37.86 and 35.98; on seeds 5 and 6 it takes another path to the
+same end.  On the 100 seed-1 ``system-plan`` systems of ``perfbench``
+no plan differs, and the lazy loop is the faster (``plan_system`` p50
+17.5 ms against 20.3 ms for the full scan, 2-core host).
 
 Nothing is computed twice.  The per-part tables (computation, anchor
 traffic, adjacency, ``w_total``) are built once per
@@ -49,6 +59,7 @@ import heapq
 from dataclasses import dataclass, field
 from collections.abc import Mapping
 
+from repro.mec.channel import PLANNING_ROUNDS
 from repro.mec.energy import device_terms, remote_compute_time
 from repro.mec.objective import ObjectiveWeights
 from repro.mec.scheme import OffloadingScheme, PartitionedApplication
@@ -346,9 +357,10 @@ def generate_offloading_scheme(
     contribute load.  With ``exhaustive=True`` every iteration rescans all
     candidates (the literal Algorithm 2 loop); the default lazy-greedy
     keeps candidates in a priority queue keyed by their last-known
-    improvement and re-validates the top entry before accepting — orders
-    of magnitude faster on multi-user systems and, because move benefits
-    only shrink as the placement drains, virtually always identical.
+    improvement and re-validates the top entry before accepting.  It is
+    faster, but not equivalent: a move can improve a queued candidate
+    beyond its key, so the lazy loop can take another path or stop
+    early (see the module docstring for the pinned cases).
 
     With a :class:`~repro.mec.channel.SharedChannel` on *system*, the
     effective rate every user transmits at depends on who offloads, and
@@ -356,11 +368,11 @@ def generate_offloading_scheme(
     iterates it: each round freezes ``b_i(n)`` from the previous round's
     co-offloading set, re-runs the full greedy from the same initial
     placement, and stops when the rates reproduce themselves (or after
-    ``channel.planning_rounds`` rounds; congestion fixed points can
-    oscillate, so the round whose placement evaluates best under its
-    *own* contention-consistent rates wins).  Per-part moves can never
-    *thin* the co-offloading population — every intermediate placement
-    still transmits — so a final whole-user sweep offers each
+    :data:`~repro.mec.channel.PLANNING_ROUNDS` rounds; congestion fixed
+    points can oscillate, so the round whose placement evaluates best
+    under its *own* contention-consistent rates wins).  Per-part moves
+    can never *thin* the co-offloading population — every intermediate
+    placement still transmits — so a final whole-user sweep offers each
     contention-limited, unfrozen offloader the switch to fully local
     (and local users their remote set back once spectrum frees up),
     accepting flips that lower the evaluated system objective.  With one
@@ -430,9 +442,10 @@ def generate_offloading_scheme(
                         heapq.heappush(heap, (current, user_id, part_id))
                     continue
                 # Fresh value is at least as good as its stored key, which was
-                # the heap minimum — accept it if it improves, otherwise no
-                # remaining candidate improves (move benefits only shrink as
-                # the placement drains) and the loop is done.
+                # the heap minimum — accept it if it improves, otherwise stop.
+                # Other keys are last-known values that a move may have made
+                # stale on the high side, so this stop can come before the
+                # full scan's (see the module docstring).
                 if current >= best_value - _EPS:
                     break
                 evaluator.apply_move(user_id, part_id)
@@ -464,7 +477,7 @@ def generate_offloading_scheme(
         best_combined = float("inf")
         best_consumption = SystemConsumption()
         candidates: dict[str, set[int]] = {}
-        for round_index in range(channel.planning_rounds):
+        for round_index in range(PLANNING_ROUNDS):
             round_evaluator, round_moves, round_history = run_pass(rates)
             contention_rounds += 1
             if round_index == 0:

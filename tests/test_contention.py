@@ -102,10 +102,6 @@ class TestChannelMath:
     def test_validation(self):
         with pytest.raises(ValueError, match="capacity"):
             SharedChannel(capacity=0.0)
-        with pytest.raises(ValueError, match="access"):
-            SharedChannel(capacity=10.0, access="csma")
-        with pytest.raises(ValueError, match="planning_rounds"):
-            SharedChannel(capacity=10.0, planning_rounds=0)
         with pytest.raises(ValueError, match="gain"):
             ChannelQuality(gain=-1.0)
 

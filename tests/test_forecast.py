@@ -37,6 +37,7 @@ from repro.fleet import (
     ServerLoad,
     StaticLatencyMap,
     all_local_breakdown,
+    handle_outage,
     hypothetical_consumption,
     make_latency_map,
     modelled_user_cost,
@@ -58,6 +59,7 @@ from repro.mec.devices import MobileDevice
 from repro.mec.scheme import PartitionedApplication
 from repro.service.metrics import MetricsRegistry
 from repro.service.plan_cache import PlanCache
+from repro.simulation.faults import ServerOutage
 from repro.workloads import synthesize_application
 from repro.workloads.profiles import quick_profile
 from repro.workloads.traces import call_graph_from_dict, call_graph_to_dict
@@ -419,6 +421,42 @@ class TestSLAAdmission:
         report = fleet.sla_report()
         assert (report.users, report.degraded, report.violations) == (1, 0, 0)
 
+    def test_failover_keeps_a_drained_users_sla(self, fleet_profile):
+        """A drained user is re-admitted under their recorded SLA: the
+        survivor that would reject a fresh arrival with this deadline
+        does not get the user.  The user degrades rather than being
+        rejected — failover loses nothing — and their SLA still travels
+        with them, so they return to the big server once it is revived."""
+        app = synthesize_application("hot", 30, seed=2)
+        probe = EdgeFleet(capacities=[2000.0])
+        probe.admit(MobileDevice("probe", profile=fleet_profile.device), clone(app))
+        breakdown = probe.total_consumption().per_user["probe"]
+        solo = probe.config.objective.combine(breakdown.energy, breakdown.time)
+        sla = UserSLA(1.05 * solo, on_infeasible="reject")
+
+        tiny = EdgeFleet(capacities=[20.0])
+        assert tiny.admit(
+            MobileDevice("u0", profile=fleet_profile.device), clone(app), sla=sla
+        ).rejected
+
+        fleet = EdgeFleet(capacities=[2000.0, 20.0])
+        admission = fleet.admit(
+            MobileDevice("u0", profile=fleet_profile.device), clone(app), sla=sla
+        )
+        assert admission.server_id == "edge-00"
+        report = handle_outage(fleet, ServerOutage(time=1.0, server_id="edge-00"))
+        assert report.reassigned == {}
+        assert report.degraded == ["u0"]
+        assert report.lost_users == 0
+        assert fleet.servers["edge-01"].users == 0
+        sla_report = fleet.sla_report()
+        assert (sla_report.users, sla_report.degraded, sla_report.rejections) == (1, 1, 0)
+
+        recovered = fleet.revive_server("edge-00")
+        assert [(a.user_id, a.server_id) for a in recovered] == [("u0", "edge-00")]
+        sla_report = fleet.sla_report()
+        assert (sla_report.degraded, sla_report.violations) == (0, 0)
+
 
 # ----------------------------------------------------------------------
 # Admission work counts: each piece of work done once
@@ -529,6 +567,29 @@ class TestAdmissionWorkCounts:
         assert (len(fingerprints), len(plans)) == (0, 0)
         assert fleet.stats().degraded_users == 3
         assert fleet.stats().cache_misses == misses
+
+    @pytest.mark.parametrize("with_sla", [False, True], ids=["plain", "sla"])
+    def test_failover_neither_fingerprints_nor_plans(
+        self, fleet_profile, monkeypatch, with_sla
+    ):
+        """Drained users bring the request key and plan the dead server
+        held into their re-admission."""
+        fleet = loaded_fleet(fleet_profile)
+        for i in range(2):
+            fleet.admit(
+                MobileDevice(f"sla-{i}", profile=fleet_profile.device),
+                synthesize_application(f"fresh{i}", n_functions=20, seed=20 + i),
+                sla=UserSLA(deadline=1e6) if with_sla else None,
+            )
+        victim = next(
+            sid for sid, server in fleet.servers.items() if "sla-0" in server.admitted
+        )
+        fingerprints = count_calls(monkeypatch, fleet_module, "request_fingerprint")
+        plans = count_calls(monkeypatch, OffloadingPlanner, "plan_user")
+        report = handle_outage(fleet, ServerOutage(time=1.0, server_id=victim))
+        assert report.drained_users > 0 and report.lost_users == 0
+        assert "sla-0" in report.reassigned
+        assert (len(fingerprints), len(plans)) == (0, 0)
 
     @pytest.mark.parametrize("action", ["reject", "degrade"])
     def test_next_arrival_after_an_unplaced_one_is_not_planned_again(
