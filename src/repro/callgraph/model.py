@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from repro.graphs.weighted_graph import WeightedGraph
 
@@ -43,6 +43,8 @@ class FunctionCallGraph:
         self.app_name = app_name
         self._graph = WeightedGraph()
         self._info: dict[str, FunctionInfo] = {}
+        self._digest_memo: tuple[int, str] | None = None
+        """``(graph version, digest)`` of the last :meth:`memoized_digest`."""
 
     # ------------------------------------------------------------------
     # Construction
@@ -127,6 +129,27 @@ class FunctionCallGraph:
     def total_communication(self) -> float:
         """Total communication weight across all data flows."""
         return self._graph.total_edge_weight()
+
+    def memoized_digest(self, compute: Callable[["FunctionCallGraph"], str]) -> str:
+        """``compute(self)``, recomputed only when the graph has changed.
+
+        The memo holds the digest with the :attr:`WeightedGraph.version` it
+        was computed at, and answers while that version still matches.
+        Every change to this call graph goes through a graph mutator
+        (:meth:`add_function` adds a node, :meth:`add_data_flow` an edge,
+        and edits through :attr:`graph` are the graph's own), so a match
+        means unchanged content.  The version is read *before* *compute*
+        walks the graph: an edit made during the walk leaves a stale
+        version behind, and the next call recomputes.  There is one memo,
+        for one content digest (the service's ``graph_fingerprint``).
+        """
+        version = self._graph.version
+        memo = self._digest_memo
+        if memo is not None and memo[0] == version:
+            return memo[1]
+        digest = compute(self)
+        self._digest_memo = (version, digest)
+        return digest
 
     # ------------------------------------------------------------------
     # Derivation

@@ -184,9 +184,11 @@ class OffloadingPlanner:
         them: a partition holds nothing per user.  ``call_graphs`` keeps
         every object alive for the whole call, so the object-keyed
         ``keys`` and ``partitions`` tables cannot confuse two graphs.
-        They live only for this call — ``.graph`` is mutable, so an entry
-        kept across calls could go stale.  Algorithm 2 then runs over
-        these shared partitions (see
+        Across calls the fingerprint itself is memoized on the object and
+        follows its edits (:func:`~repro.service.fingerprint.graph_fingerprint`);
+        the ``partitions`` table lives only for this call — ``.graph`` is
+        mutable, so a partition kept across calls could go stale.
+        Algorithm 2 then runs over these shared partitions (see
         :func:`~repro.mec.greedy.generate_offloading_scheme`).
         """
         started = time.perf_counter()

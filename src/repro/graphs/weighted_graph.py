@@ -21,6 +21,14 @@ a parallel edge's sum, the ``set_*`` methods and
 :meth:`~WeightedGraph.merge_nodes` — and so at every HTTP and CLI input).  Derivations (:meth:`~WeightedGraph.subgraph`,
 :meth:`~WeightedGraph.copy`, the compression merge) trust their source graph
 and fill the dicts directly instead of re-checking every weight.
+
+Every graph carries a mutation counter, :attr:`~WeightedGraph.version`.  Each
+of the seven mutators (``add_node``, ``remove_node``, ``set_node_weight``,
+``add_edge``, ``set_edge_weight``, ``remove_edge``, ``merge_nodes``) bumps it
+*after* its change is in place, so a reader that records the version before
+reading the graph never pairs a new version with old content.  Derived graphs
+start at version 0.  Content-derived values (the call graph's fingerprint
+memo) stay valid while the version they were computed at still matches.
 """
 
 from __future__ import annotations
@@ -50,6 +58,12 @@ class WeightedGraph:
         self._node_weights: dict[NodeId, float] = {}
         self._node_data: dict[NodeId, dict[str, Any]] = {}
         self._adjacency: dict[NodeId, dict[NodeId, float]] = {}
+        self._version = 0
+
+    @property
+    def version(self) -> int:
+        """Mutation counter: bumped by every mutator, after its change."""
+        return self._version
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -96,6 +110,7 @@ class WeightedGraph:
         self._node_weights[node] = float(weight)
         self._node_data[node] = dict(data)
         self._adjacency[node] = {}
+        self._version += 1
 
     def remove_node(self, node: NodeId) -> None:
         """Remove *node* and all incident edges."""
@@ -105,6 +120,7 @@ class WeightedGraph:
         del self._adjacency[node]
         del self._node_weights[node]
         del self._node_data[node]
+        self._version += 1
 
     def has_node(self, node: NodeId) -> bool:
         """Whether *node* is present."""
@@ -129,6 +145,7 @@ class WeightedGraph:
         if not 0 <= weight < _INF:
             raise ValueError(f"node weight must be finite and >= 0, got {weight!r}")
         self._node_weights[node] = float(weight)
+        self._version += 1
 
     def node_data(self, node: NodeId) -> dict[str, Any]:
         """Return the mutable metadata dict attached to *node*."""
@@ -158,6 +175,7 @@ class WeightedGraph:
             raise ValueError(f"accumulated weight of edge ({u!r}, {v!r}) overflows")
         self._adjacency[u][v] = new_weight
         self._adjacency[v][u] = new_weight
+        self._version += 1
 
     def set_edge_weight(self, u: NodeId, v: NodeId, weight: float) -> None:
         """Overwrite (rather than accumulate) the weight of edge (u, v)."""
@@ -167,6 +185,7 @@ class WeightedGraph:
             raise ValueError(f"edge weight must be finite and > 0, got {weight!r}")
         self._adjacency[u][v] = float(weight)
         self._adjacency[v][u] = float(weight)
+        self._version += 1
 
     def remove_edge(self, u: NodeId, v: NodeId) -> None:
         """Remove the edge between *u* and *v*."""
@@ -174,6 +193,7 @@ class WeightedGraph:
             raise KeyError(f"edge ({u!r}, {v!r}) does not exist")
         del self._adjacency[u][v]
         del self._adjacency[v][u]
+        self._version += 1
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         """Whether an edge between *u* and *v* exists."""
@@ -379,7 +399,7 @@ class WeightedGraph:
         for neighbor, merged in edges.items():
             self._adjacency[survivor][neighbor] = merged
             self._adjacency[neighbor][survivor] = merged
-        self.remove_node(absorbed)
+        self.remove_node(absorbed)  # last, so its bump follows the whole merge
 
     # ------------------------------------------------------------------
     # Dunder / misc

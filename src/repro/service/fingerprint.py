@@ -14,6 +14,20 @@ pinned by golden tests: a changed digest moves users between servers.
 Floats are canonicalised through ``repr`` (shortest round-trip form in
 CPython >= 3.1), so equal weights hash equal regardless of how they were
 computed.
+
+Both halves of the key are memoized, so the hot paths that see one app
+object or one config many times hash it once:
+
+* a call graph keeps ``(graph version, digest)`` on itself
+  (:meth:`~repro.callgraph.model.FunctionCallGraph.memoized_digest`).
+  Every graph mutator bumps the version after its change, and the version
+  is read *before* the graph is walked, so any edit — through the call
+  graph's builders or through ``.graph`` — makes the next call recompute,
+  even one made during the walk;
+* a config that is a frozen dataclass tree keeps its digest in a small
+  memo matched by object identity, never by equality (equal configs may
+  encode differently: ``1`` vs ``1.0``).  Anything else, and any config
+  that raises :class:`FingerprintError`, is encoded on every call.
 """
 
 from __future__ import annotations
@@ -52,13 +66,23 @@ def graph_fingerprint(call_graph: FunctionCallGraph) -> str:
     Sorting functions by name and edges by their ordered endpoint pair
     makes the hash independent of construction order; including the
     names makes it safe as a plan-cache key (cached parts reference
-    function names that exist in every graph sharing the hash).
+    function names that exist in every graph sharing the hash).  Each
+    object is hashed once per graph version
+    (:meth:`~repro.callgraph.model.FunctionCallGraph.memoized_digest`).
 
     >>> a = FunctionCallGraph("x"); _ = a.add_function("f", 1.0)
     >>> b = FunctionCallGraph("x"); _ = b.add_function("f", 1.0)
     >>> graph_fingerprint(a) == graph_fingerprint(b)
     True
+    >>> a.add_data_flow("f", a.add_function("g", 2.0).name, 3.0)
+    >>> graph_fingerprint(a) == graph_fingerprint(b)
+    False
     """
+    return call_graph.memoized_digest(_graph_digest)
+
+
+def _graph_digest(call_graph: FunctionCallGraph) -> str:
+    """The walk and hash behind :func:`graph_fingerprint`, unmemoized."""
     nodes = sorted(
         (
             info.name,
@@ -113,14 +137,55 @@ def _encode(value: Any) -> Any:
     )
 
 
+def _frozen_tree(value: Any) -> bool:
+    """Whether *value* is immutable all the way down.
+
+    Scalars, enums, frozen dataclasses, tuples and frozensets whose own
+    members are all frozen trees qualify; anything else (a list, a dict,
+    a mutable dataclass, an opaque object) may change under a memo.
+    """
+    if value is None or isinstance(value, (int, float, str, Enum)):
+        return True
+    if is_dataclass(value) and not isinstance(value, type):
+        return bool(getattr(type(value), "__dataclass_params__").frozen) and all(
+            _frozen_tree(getattr(value, f.name)) for f in fields(value)
+        )
+    if isinstance(value, (tuple, frozenset)):
+        return all(_frozen_tree(item) for item in value)
+    return False
+
+
+_CONFIG_MEMO_SIZE = 8
+_config_memo: tuple[tuple[Any, str], ...] = ()
+"""The most recent ``(config, digest)`` pairs of frozen dataclass trees,
+newest first, matched by identity.  Equality would be wrong:
+``PlannerConfig()`` and ``PlannerConfig(objective=ObjectiveWeights(1, 1))``
+are ``==`` and hash alike, yet ``1`` and ``1.0`` encode differently, so
+their digests differ.  The entries hold their configs alive, so an
+identity match is never a recycled object.  A hit returns exactly what
+encoding would, so the memo changes no result.  The tuple is replaced
+whole, never mutated, so concurrent readers always see a consistent
+memo; two threads storing at once may drop an entry, which costs one
+recompute."""
+
+
 def config_fingerprint(config: Any) -> str:
     """Canonical hash of a planner configuration (any dataclass tree).
 
     Raises :class:`FingerprintError` when the config embeds an object
     with no canonical encoding (e.g. a bare callable) — callers are
-    expected to degrade to identity-based caching in that case.
+    expected to plan without a cache key in that case.  Such a
+    config is never memoized, so it raises on every call.  A frozen
+    dataclass tree cannot change, so its digest is memoized per object.
     """
-    return _digest("config-v1", json.dumps(_encode(config), sort_keys=True))
+    global _config_memo
+    for seen, digest in _config_memo:
+        if seen is config:
+            return digest
+    digest = _digest("config-v1", json.dumps(_encode(config), sort_keys=True))
+    if is_dataclass(config) and _frozen_tree(config):
+        _config_memo = ((config, digest), *_config_memo[: _CONFIG_MEMO_SIZE - 1])
+    return digest
 
 
 def request_fingerprint(

@@ -174,6 +174,35 @@ class TestPlanSystem:
         assert result.user_plans["u0"] is result.user_plans["u1"]
         assert result.user_plans["u0"] is not result.user_plans["u2"]
 
+    def test_twins_split_after_one_is_edited(self, monkeypatch):
+        """Equal-content twins share one plan until one is edited through
+        ``.graph``; its memoized fingerprint then moves with its content."""
+        twin_a = synthesize_application("twin", n_functions=30, seed=13)
+        twin_b = synthesize_application("twin", n_functions=30, seed=13)
+        users = [UserContext(MobileDevice(f"u{k}"), app) for k, app in enumerate((twin_a, twin_b))]
+        system = MECSystem(EdgeServer(total_capacity=600.0), users)
+        graphs = {"u0": twin_a, "u1": twin_b}
+        planner = make_planner("spectral")
+        planned: list[object] = []
+        real_plan_user = planner.plan_user
+
+        def counting_plan_user(call_graph):
+            planned.append(call_graph)
+            return real_plan_user(call_graph)
+
+        monkeypatch.setattr(planner, "plan_user", counting_plan_user)
+        first = planner.plan_system(system, graphs)
+        assert len(planned) == 1
+        assert first.user_plans["u0"] is first.user_plans["u1"]
+
+        u, v, w = twin_b.graph.edge_list()[0]
+        twin_b.graph.set_edge_weight(u, v, w + 1.0)
+        planned.clear()
+        second = planner.plan_system(system, graphs)
+        assert len(planned) == 2
+        assert any(seen is twin_b for seen in planned)
+        assert second.user_plans["u0"] is not second.user_plans["u1"]
+
     def test_missing_call_graph_rejected(self):
         app = synthesize_application("demo", n_functions=20, seed=9)
         system, _ = self.make_system(app)

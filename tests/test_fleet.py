@@ -30,6 +30,7 @@ from repro.fleet import (
 )
 from repro.core import PlannerConfig
 from repro.mec.devices import MobileDevice
+from repro.service import graph_to_payload, parse_graph_payload
 from repro.simulation import ServerOutage
 from repro.workloads import synthesize_application
 from repro.workloads.multiuser import build_mec_system
@@ -213,6 +214,31 @@ class TestFleetAdmission:
         assert EdgeFleet(config=PlannerConfig(multiway_parts=4)).request_key(
             graph
         ) == GOLDEN_FLEET_KEYS[name]
+
+    def test_request_key_follows_edits_between_arrivals(self, fleet_profile):
+        """An app edited through ``.graph`` between two arrivals gets a new
+        key each time: the one a fresh rebuild of its content gets."""
+        fleet = EdgeFleet(SERVERS, 500.0)
+        app = synthesize_application("edited", n_functions=30, seed=5)
+        device = fleet_profile.device
+
+        def rebuilt_key():
+            return fleet.request_key(parse_graph_payload(graph_to_payload(app)))
+
+        keys = [fleet.request_key(app)]
+        assert not fleet.admit(MobileDevice("u0", profile=device), app).cache_hit
+        u, v, w = app.graph.edge_list()[0]
+        edits = [
+            lambda: app.graph.set_edge_weight(u, v, w + 1.0),
+            lambda: app.add_data_flow(u, v, 2.0),
+        ]
+        for k, edit in enumerate(edits, start=1):
+            edit()
+            keys.append(fleet.request_key(app))
+            assert keys[-1] not in keys[:-1]
+            assert keys[-1] == rebuilt_key()
+            admission = fleet.admit(MobileDevice(f"u{k}", profile=device), app)
+            assert not admission.cache_hit
 
     def test_affinity_routes_on_content_not_config(self, fleet_profile):
         """A fleet's planner config does not decide which server owns an

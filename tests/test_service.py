@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 import threading
 import time
 
@@ -33,11 +34,14 @@ from repro.service import (
     ServiceConfig,
     config_fingerprint,
     graph_fingerprint,
+    graph_to_payload,
+    parse_graph_payload,
     plan_digest,
     plan_from_dict,
     plan_to_dict,
     request_fingerprint,
 )
+from repro.mec.objective import ObjectiveWeights
 from repro.service.batching import PlanRequest
 from repro.workloads import synthesize_application
 from repro.workloads.multiuser import build_mec_system
@@ -95,6 +99,45 @@ def rebuild(
     for u, v, w in flows:
         clone.add_data_flow(rename(str(u)), rename(str(v)), w)
     return clone
+
+
+GRAPH_EDITS = (
+    "add_function",
+    "add_data_flow",
+    "set_edge_weight",
+    "remove_edge",
+    "set_node_weight",
+    "merge_nodes",
+    "remove_node",
+)
+
+
+def apply_edit(fcg: FunctionCallGraph, edit: str, pick: int, amount: float, step: int) -> None:
+    """One public edit of *fcg*: its own builders, or a mutator of ``.graph``.
+
+    Edits that need more nodes or edges than *fcg* has left do nothing.
+    """
+    rng = random.Random(pick)
+    graph = fcg.graph
+    nodes = graph.node_list()
+    edges = graph.edge_list()
+    if edit == "add_function":
+        fcg.add_function(f"new{step}", computation=amount, component="aux")
+    elif edit == "add_data_flow" and len(nodes) >= 2:
+        u, v = rng.sample(nodes, 2)
+        fcg.add_data_flow(u, v, amount)
+    elif edit == "set_edge_weight" and edges:
+        u, v, _ = rng.choice(edges)
+        graph.set_edge_weight(u, v, amount)
+    elif edit == "remove_edge" and edges:
+        u, v, _ = rng.choice(edges)
+        graph.remove_edge(u, v)
+    elif edit == "set_node_weight" and nodes:
+        graph.set_node_weight(rng.choice(nodes), amount)
+    elif edit == "merge_nodes" and len(nodes) >= 2:
+        graph.merge_nodes(*rng.sample(nodes, 2))
+    elif edit == "remove_node" and nodes:
+        graph.remove_node(rng.choice(nodes))
 
 
 def golden_graphs() -> dict[str, FunctionCallGraph]:
@@ -218,6 +261,105 @@ class TestFingerprint:
     def test_config_fingerprint_rejects_opaque_objects(self):
         with pytest.raises(FingerprintError):
             config_fingerprint(object())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(GRAPH_EDITS),
+                st.integers(0, 10_000),
+                st.floats(0.5, 20.0),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_memoized_fingerprint_follows_every_edit(self, seed, edits):
+        """The digest memoized on the object always equals the digest of a
+        fresh rebuild of its current content, whatever edits came between."""
+        app = random_call_graph(seed)
+        assert graph_fingerprint(app) == graph_fingerprint(rebuild(app))
+        for step, (edit, pick, amount) in enumerate(edits):
+            apply_edit(app, edit, pick, amount, step)
+            fresh = parse_graph_payload(graph_to_payload(app))
+            assert graph_fingerprint(app) == graph_fingerprint(fresh)
+
+    def test_memo_never_outlives_a_concurrent_edit(self):
+        """Readers race an editor; whatever they stored, the next call
+        answers for the graph's final content.  Each round's second edit
+        tends to land mid-walk, which is where a version read after the
+        walk would pair the new version with old content."""
+        app = synthesize_application("race", n_functions=60, seed=4)
+        edges = app.graph.edge_list()
+        errors: list[Exception] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(20):
+                stop = threading.Event()
+
+                def read():
+                    try:
+                        while not stop.is_set():
+                            graph_fingerprint(app)
+                    except Exception as exc:  # surfaced by the assert below
+                        errors.append(exc)
+
+                readers = [threading.Thread(target=read) for _ in range(4)]
+                for reader in readers:
+                    reader.start()
+                for k in (2 * round_, 2 * round_ + 1):
+                    u, v, w = edges[k % len(edges)]
+                    time.sleep(0.002)
+                    app.graph.set_edge_weight(u, v, w + 1.0)
+                stop.set()
+                for reader in readers:
+                    reader.join(timeout=10)
+                assert not any(reader.is_alive() for reader in readers)
+                assert not errors
+                fresh = parse_graph_payload(graph_to_payload(app))
+                assert graph_fingerprint(app) == graph_fingerprint(fresh)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("first", ["float-weights", "int-weights"])
+    def test_config_memo_is_per_object_not_per_equality(self, first):
+        """Equal configs whose canonical encodings differ keep their own
+        digests, whichever one is fingerprinted first."""
+
+        def configs():
+            return {
+                "float-weights": PlannerConfig(),
+                "int-weights": PlannerConfig(objective=ObjectiveWeights(1, 1)),
+            }
+
+        seen = configs()
+        assert seen["float-weights"] == seen["int-weights"]
+        assert hash(seen["float-weights"]) == hash(seen["int-weights"])
+        order = sorted(seen, key=lambda name: name != first)
+        digests = {name: config_fingerprint(seen[name]) for name in order}
+        assert digests["float-weights"] != digests["int-weights"]
+        for name in order:  # memoized, and equal to a fresh object's digest
+            assert config_fingerprint(seen[name]) == digests[name]
+            assert config_fingerprint(configs()[name]) == digests[name]
+
+    def test_config_memo_skips_unfrozen_and_unencodable_configs(self):
+        @dataclasses.dataclass(frozen=True)
+        class Opaque:
+            hook: object = print
+
+        @dataclasses.dataclass(frozen=True)
+        class Listed:
+            parts: list = dataclasses.field(default_factory=list)
+
+        opaque = Opaque()
+        for _ in range(2):
+            with pytest.raises(FingerprintError):
+                config_fingerprint(opaque)
+        listed = Listed()
+        before = config_fingerprint(listed)
+        listed.parts.append(3)
+        assert config_fingerprint(listed) != before
 
     def test_request_fingerprint_includes_strategy(self):
         app = random_call_graph(1)

@@ -187,3 +187,60 @@ class TestDunder:
         assert "a" in triangle
         assert "ghost" not in triangle
         assert sorted(triangle) == ["a", "b", "c"]
+
+
+MUTATIONS = {
+    "add_node": lambda g: g.add_node("d", weight=4.0),
+    "remove_node": lambda g: g.remove_node("c"),
+    "set_node_weight": lambda g: g.set_node_weight("a", 5.0),
+    "add_edge": lambda g: g.add_edge("a", "b", weight=1.0),
+    "set_edge_weight": lambda g: g.set_edge_weight("a", "b", 4.0),
+    "remove_edge": lambda g: g.remove_edge("a", "b"),
+    "merge_nodes": lambda g: g.merge_nodes("a", "b"),
+}
+
+
+class TestVersion:
+    """The mutation counter that content memos (the call graph's
+    fingerprint) are validated against."""
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_every_mutator_bumps_the_version(self, triangle, name):
+        before = triangle.version
+        MUTATIONS[name](triangle)
+        assert triangle.version > before
+
+    def test_queries_and_rejected_mutations_leave_it(self, triangle):
+        before = triangle.version
+        triangle.edge_list()
+        triangle.subgraph({"a", "b"})
+        triangle.cut_weight({"a"})
+        with pytest.raises(ValueError):
+            triangle.add_edge("a", "a")
+        with pytest.raises(KeyError):
+            triangle.set_edge_weight("a", "ghost", 1.0)
+        with pytest.raises(ValueError):
+            triangle.set_node_weight("a", -1.0)
+        assert triangle.version == before
+
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda g: g.copy(),
+            lambda g: g.subgraph({"a", "c"}),
+            lambda g: WeightedGraph._assemble(
+                dict(g._node_weights),
+                {node: dict(data) for node, data in g._node_data.items()},
+                {node: dict(row) for node, row in g._adjacency.items()},
+            ),
+        ],
+        ids=["copy", "subgraph", "_assemble"],
+    )
+    def test_derived_graphs_start_fresh(self, triangle, derive):
+        source_version = triangle.version
+        assert source_version > 0
+        derived = derive(triangle)
+        assert derived.version == 0
+        derived.set_node_weight("a", 9.0)
+        assert derived.version == 1
+        assert triangle.version == source_version
