@@ -32,6 +32,7 @@ from repro.mec.devices import DeviceProfile, EdgeServer, MobileDevice
 from repro.mec.energy import device_terms, remote_compute_time
 from repro.mec.greedy import PlacementEvaluator, generate_offloading_scheme, initial_placement
 from repro.mec.objective import ObjectiveWeights
+from repro.mec.online import OnlinePlanner
 from repro.mec.scheme import PartitionedApplication
 from repro.mec.system import MECSystem, UserContext
 from repro.workloads.applications import synthesize_application
@@ -40,7 +41,10 @@ from repro.workloads.profiles import quick_profile
 
 
 class NumpyPlacementEvaluator:
-    """Reference: the array-per-pass evaluator, with no cached terms."""
+    """Reference: the array-per-pass evaluator, with no cached terms.
+
+    Users in *frozen* offer no candidate moves; their weights are walked
+    from their parts like everyone else's, never read from *frozen*."""
 
     def __init__(
         self,
@@ -49,11 +53,13 @@ class NumpyPlacementEvaluator:
         remote: Mapping[str, set[int]],
         weights: ObjectiveWeights,
         rates: Mapping[str, float] | None = None,
+        frozen: Mapping[str, tuple[float, float, float]] | None = None,
     ) -> None:
         self.system = system
         self.apps = apps
         self.weights = weights
         self.rates: dict[str, float] = dict(rates or {})
+        self.frozen = set(frozen or {})
         self.remote: dict[str, set[int]] = {u: set(p) for u, p in remote.items()}
         self._part_adjacency: dict[str, list[list[tuple[int, float]]]] = {}
         self._comp: dict[str, np.ndarray] = {}
@@ -168,6 +174,7 @@ class NumpyPlacementEvaluator:
         return [
             (user_id, part_id)
             for user_id in sorted(self.remote)
+            if user_id not in self.frozen
             for part_id in sorted(self.remote[user_id])
         ]
 
@@ -285,6 +292,7 @@ def _assert_matches_references(system, apps, bisections, exhaustive: bool) -> No
     again = system.evaluate_placement(apps, shared.remote_parts)
     assert shared.consumption.per_user == again.per_user
     assert shared.consumption.effective_bandwidth == again.effective_bandwidth
+    assert shared.terms == system.placement_terms(apps, shared.remote_parts)
 
 
 @given(greedy_inputs(), st.booleans())
@@ -297,6 +305,50 @@ def test_shared_partitions_plan_like_fresh_ones_and_the_reference(case, exhausti
     also exactly what evaluate_placement gives the returned placement."""
     system, apps, bisections, _ = case
     _assert_matches_references(system, apps, bisections, exhaustive)
+
+
+@pytest.mark.parametrize("channel", [False, True], ids=["private", "shared-channel"])
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda policy: type(policy).__name__)
+def test_online_placement_of_frozen_users_matches_the_reference(policy, channel):
+    """``OnlinePlanner.place`` prices the admitted users, frozen, at the
+    weights the ledger recorded for them; the reference evaluator walks
+    their parts.  Each newcomer's placement must be the same bit for
+    bit, and its price what ``evaluate_placement`` gives the placement
+    when every user's parts are walked."""
+    profile = quick_profile().device
+    shared_channel = SharedChannel(capacity=2 * profile.bandwidth) if channel else None
+    planner = OnlinePlanner(
+        EdgeServer(total_capacity=300.0),
+        _PLANNER.cut_strategy,
+        allocation=policy,
+        channel=shared_channel,
+    )
+    graphs = [synthesize_application(f"app{k}", n_functions=30, seed=k) for k in range(3)]
+    for k in range(6):
+        device = MobileDevice(f"u{k}", profile=profile)
+        graph = graphs[k % len(graphs)]
+        plan = _PLANNER.plan_user(graph)
+        app = PartitionedApplication(device.device_id, graph, plan.parts)
+        fast = planner.place(device, app, plan)
+        with mock.patch.object(greedy_module, "PlacementEvaluator", NumpyPlacementEvaluator):
+            reference = planner.place(device, app, plan)
+        assert _outcome(fast) == _outcome(reference)
+        users = [*planner.users.values()]
+        system = MECSystem(
+            planner.server,
+            [UserContext(user.device, user.graph) for user in users]
+            + [UserContext(device, graph)],
+            allocation=policy,
+            channel=shared_channel,
+        )
+        apps = {user.user_id: user.app for user in users}
+        apps[device.device_id] = app
+        walked = system.evaluate_placement(apps, fast.remote_parts)
+        assert fast.consumption.per_user == walked.per_user
+        assert fast.consumption.effective_bandwidth == walked.effective_bandwidth
+        planner.admit_partitioned(device, app, plan)
+    assert all(user.weights == user.app.weights(user.remote) for user in planner.users.values())
+    assert any(user.remote for user in planner.users.values())
 
 
 # Recorded with the evaluator above and a sweep that evaluated every
