@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from collections.abc import Iterable
+from collections.abc import Iterable, Set as AbstractSet
 
 from repro.callgraph.model import FunctionCallGraph
 
@@ -141,16 +141,16 @@ class PartitionedApplication:
         """Number of placement parts."""
         return len(self.parts)
 
-    def remote_weight(self, remote_parts: set[int]) -> float:
+    def remote_weight(self, remote_parts: AbstractSet[int]) -> float:
         """Total computation weight of the remote-placed parts."""
         return sum(c for p, c in enumerate(self.computation) if p in remote_parts)
 
-    def local_weight(self, remote_parts: set[int]) -> float:
+    def local_weight(self, remote_parts: AbstractSet[int]) -> float:
         """Total local computation: pinned functions + local parts."""
         local_parts = sum(c for p, c in enumerate(self.computation) if p not in remote_parts)
         return self.pinned_computation + local_parts
 
-    def weights(self, remote_parts: set[int]) -> tuple[float, float, float]:
+    def weights(self, remote_parts: AbstractSet[int]) -> tuple[float, float, float]:
         """``(local, remote, cut)`` weights under *remote_parts*: all a
         placement contributes to the user's pricing."""
         return (
@@ -159,7 +159,7 @@ class PartitionedApplication:
             self.cut_weight(remote_parts),
         )
 
-    def cut_weight(self, remote_parts: set[int]) -> float:
+    def cut_weight(self, remote_parts: AbstractSet[int]) -> float:
         """Communication crossing the device/server boundary.
 
         Counts (a) inter-part edges whose endpoints sit on different

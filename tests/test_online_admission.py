@@ -1,5 +1,7 @@
 """Tests for online user admission and the online/offline regret."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.baselines import spectral_cut_strategy
@@ -79,10 +81,25 @@ class TestOnlinePlanner:
         partitioned = PartitionedApplication(device.device_id, app, plan.parts)
         placed = planner.place(device, partitioned, plan)
         assert {uid: user.remote for uid, user in planner.users.items()} == before
+        # The frozen users' parts are not walked for the scheme either.
+        assert set(placed.scheme.remote_functions) == {device.device_id}
         assert planner.current_consumption() is kept
         record = planner.admit_partitioned(device, partitioned, plan)
         assert record.consumption_after == placed.consumption
         assert planner.users[device.device_id].remote == placed.remote_parts[device.device_id]
+
+    def test_ledger_entries_cannot_be_edited(self):
+        """A ledger entry's remote set and its weights are made together
+        at commit; neither can be changed afterwards, so they agree."""
+        planner = OnlinePlanner(EdgeServer(300.0), spectral_cut_strategy())
+        for device, graph in arrivals(3):
+            planner.admit(device, graph)
+        for user in planner.users.values():
+            assert user.weights == user.app.weights(user.remote)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                user.remote = frozenset()  # type: ignore[misc]
+            with pytest.raises(AttributeError):
+                user.remote.add(0)  # type: ignore[attr-defined]
 
     def test_evict_places_the_survivors_as_a_fresh_planner_would(self):
         """Evicting re-places the survivors in admission order: the ledger
