@@ -45,7 +45,7 @@ from repro.mec.admission import AllocationPolicy
 from repro.mec.channel import SharedChannel
 from repro.mec.devices import EdgeServer, MobileDevice
 from repro.mec.energy import ConsumptionBreakdown, price_user
-from repro.mec.online import AdmissionRecord, OnlinePlanner, OnlineUser
+from repro.mec.online import AdmissionRecord, OnlinePlanner, OnlineUser, Placement
 from repro.mec.scheme import PartitionedApplication
 from repro.mec.system import SystemConsumption
 from repro.service.fingerprint import request_fingerprint
@@ -60,8 +60,8 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 
 PLAN_CACHE_CAPACITY = 256
-"""Bound on each server's plan cache, on the fleet's unplaced plans and
-on its partitions."""
+"""Bound on each server's plan cache and on the fleet's table of the
+plans it made and the applications it partitioned from them."""
 
 
 def all_local_breakdown(device: MobileDevice, graph: FunctionCallGraph) -> ConsumptionBreakdown:
@@ -218,52 +218,29 @@ class FleetServer:
             weights
         )
 
-    def admit(
-        self,
-        device: MobileDevice,
-        graph: FunctionCallGraph,
-        key: str,
-        prepared: "tuple[UserPlan, PartitionedApplication] | None" = None,
-    ) -> tuple[AdmissionRecord, bool]:
-        """Admit one user, serving the plan from this server's cache.
+    def admit(self, key: str, placement: Placement) -> tuple[AdmissionRecord, bool]:
+        """Admit one arrival at *placement*, made by this server's planner.
 
-        Returns ``(record, cache_hit)``.  A *prepared* plan and the
-        application partitioned from it (made up front for an SLA
-        feasibility check) stand in for planning only after a cache miss,
-        so hit-rate statistics stay identical to planning inline;
-        planning is deterministic, so the result is identical too.  On a
-        hit the prepared application is still reused when the cached
-        plan has the same parts.  With the prepared application, the
-        planner commits the placement the SLA check's pricing on this
-        server already made, unless the ledger changed since
-        (:meth:`~repro.mec.online.OnlinePlanner.admit_partitioned`).
+        Returns ``(record, cache_hit)``.  The arrival is a request: it is
+        looked up in this server's cache under its *key*, which counts a
+        hit or a miss.  The plan it brings is committed either way; plans
+        are content-addressed, so a hit would hold the same one.
         """
-        plan = self.cache.get(key)
-        cache_hit = plan is not None
-        if prepared is not None and (plan is None or plan.parts == prepared[0].parts):
-            prepared_plan, app = prepared
-            record = self.planner.admit_partitioned(
-                device, app, prepared_plan if plan is None else plan
-            )
-        else:
-            record = self.planner.admit(device, graph, plan=plan)
-        self._keep(key, record)
-        return record, cache_hit
+        cache_hit = self.cache.get(key) is not None
+        return self.commit(key, placement), cache_hit
 
-    def place(self, user: OnlineUser, key: str) -> AdmissionRecord:
-        """Admit a user moved here, with its recorded plan and application.
+    def commit(self, key: str, placement: Placement) -> AdmissionRecord:
+        """Enter *placement*, made by this server's planner, in the ledger
+        and file its plan in the cache under the user's request *key*.
 
-        A move is not a request: the cache lookup is skipped, so hit-rate
-        statistics are not distorted, but the cache is still populated
-        under the user's request *key* for future arrivals.
+        A user moved here comes in through this alone: a move is not a
+        request, so no cache lookup distorts the hit-rate statistics,
+        but the cache is still populated for future arrivals.
         """
-        record = self.planner.admit_partitioned(user.device, user.app, user.plan)
-        self._keep(key, record)
-        return record
-
-    def _keep(self, key: str, record: AdmissionRecord) -> None:
+        record = self.planner.commit(placement)
         self.cache.put(key, record.plan)
         self._keys[record.user_id] = key
+        return record
 
     def evict(self, user_id: str) -> tuple[OnlineUser, str]:
         """Remove one user; return it with its request key.
@@ -449,14 +426,11 @@ class EdgeFleet:
         self._dead: dict[str, FleetServer] = {}
         self._owner: dict[str, str] = {}
         self._degraded: dict[str, _DegradedUser] = {}
-        self._unplaced_plans = PlanCache(capacity=PLAN_CACHE_CAPACITY)
-        """Plans of arrivals no server took (degraded or rejected), by
-        request key, for :meth:`_lookup_plan`: the next arrival of the
-        same app is not planned again.  Bounded like a server cache, and
-        read only by ``peek``, so no hit/miss counter moves."""
         self._partitions: OrderedDict[str, _Partition] = OrderedDict()
-        """The last application the fleet partitioned under each request
-        key, least recently used first, for :meth:`_partition`."""
+        """The last plan the fleet used under each request key and the
+        application it partitioned from it, least recently used first:
+        every arrival goes through :meth:`_partition`, so this holds the
+        plans of arrivals no server took too, for :meth:`_lookup_plan`."""
         self._migration_debt: dict[str, ConsumptionBreakdown] = {}
         self._slas: dict[str, UserSLA] = {}
         self._sla_rejections = 0
@@ -514,14 +488,19 @@ class EdgeFleet:
         key: str | None = None,
         kept_plan: "UserPlan | None" = None,
     ) -> FleetAdmission:
-        """The admission path behind :meth:`admit`, :meth:`retry_degraded`
-        and :meth:`readmit`.
+        """The one admission path, behind :meth:`admit`,
+        :meth:`retry_degraded` and :meth:`readmit`.
 
-        A retried user brings the *key* and *kept_plan* its failed
-        admission computed, a drained user those its dead server held:
-        the key skips re-fingerprinting, and the plan stands in for a
-        fresh one only where one would have been made, after the cache
-        lookup misses.
+        1. The request *key* is the one given — a retried user brings
+           the key and *kept_plan* its failed admission computed, a
+           drained user those its dead server held — or the graph's
+           fingerprint.  The plan is any the fleet holds for the key
+           (:meth:`_lookup_plan`), else the kept plan, else a fresh one.
+        2. The application is partitioned from it by :meth:`_partition`.
+        3. With an *sla*, each eligible server prices the arrival and
+           those that miss the deadline drop out; the routing policy
+           picks one of the rest, which commits the placement its
+           pricing made, or, with no *sla*, places the arrival afresh.
         """
         user_id = device.device_id
         started = time.perf_counter()
@@ -531,24 +510,19 @@ class EdgeFleet:
 
         if key is None:
             key = self.request_key(graph)
-        prepared: "tuple[UserPlan, PartitionedApplication] | None" = None
+        plan = self._lookup_plan(key)
+        if plan is None:
+            plan = kept_plan if kept_plan is not None else self._template.plan_user(graph)
+        app = self._partition(key, user_id, graph, plan)
+        probes: dict[str, Placement] = {}
         if sla is not None:
-            # Feasibility needs the newcomer's plan before any server is
-            # chosen; borrow a cached one when possible, else plan once.
-            # Partition it once, price that one application on every
-            # candidate, and hand both down to the admitting server (the
-            # plan is used there only on a cache miss, so hit-rate stats
-            # are honest).
-            plan = self._lookup_plan(key)
-            if plan is None:
-                plan = kept_plan if kept_plan is not None else self._template.plan_user(graph)
-            app = self._partition(key, user_id, graph, plan)
-            eligible = self._sla_feasible(eligible, device, app, plan, sla)
+            for server in eligible:
+                probe = self._sla_probe(server, device, app, plan, sla)
+                if probe is not None:
+                    probes[server.server_id] = probe
+            eligible = [server for server in eligible if server.server_id in probes]
             if not eligible:
                 return self._admit_infeasible(device, graph, sla, key, plan)
-            prepared = (plan, app)
-        elif kept_plan is not None:
-            prepared = (kept_plan, self._partition(key, user_id, graph, kept_plan))
         target = self.routing.route(
             key,
             [
@@ -564,7 +538,10 @@ class EdgeFleet:
             ],
         )
         server = self.servers[target]
-        record, cache_hit = server.admit(device, graph, key, prepared)
+        placement = probes.get(target)
+        if placement is None:
+            placement = server.planner.place(device, app, plan)
+        record, cache_hit = server.admit(key, placement)
         self._owner[user_id] = target
         if sla is not None:
             self._slas[user_id] = sla
@@ -606,49 +583,47 @@ class EdgeFleet:
         return app
 
     def _lookup_plan(self, key: str) -> "UserPlan | None":
-        """Any server's cached plan for *key*, without statistics churn.
+        """A plan the fleet already holds for *key*, without statistics churn.
 
-        Plans are server-independent (content-addressed), so a
-        speculative SLA evaluation may borrow the plan from whichever
-        cache holds it, or from the plans of arrivals no server took;
-        :meth:`~repro.service.plan_cache.PlanCache.peek` leaves LRU
-        order and hit-rate accounting untouched — probes are not
-        requests.
+        Plans are server-independent (content-addressed), so an arrival
+        may take the plan from the fleet's own table of the plans it
+        made (:meth:`_partition`) or from whichever server's cache holds
+        it; :meth:`~repro.service.plan_cache.PlanCache.peek` leaves LRU
+        order and hit-rate accounting untouched — a lookup here is not
+        a request.
         """
+        kept = self._partitions.get(key)
+        if kept is not None:
+            return kept.plan
         for server in self.servers.values():
             plan = server.cache.peek(key)
             if plan is not None:
                 return plan
-        return self._unplaced_plans.peek(key)
+        return None
 
-    def _sla_feasible(
+    def _sla_probe(
         self,
-        eligible: list[FleetServer],
+        server: FleetServer,
         device: MobileDevice,
         app: PartitionedApplication,
         plan: "UserPlan",
         sla: UserSLA,
-    ) -> list[FleetServer]:
-        """The subset of *eligible* whose modelled cost meets the deadline.
+    ) -> Placement | None:
+        """*server*'s placement of the arrival if its modelled cost meets
+        the deadline, else ``None``.
 
-        *app* is partitioned from ``plan.parts`` once by the caller and
-        priced, read-only, against every server.
+        *app* is partitioned from ``plan.parts`` by the caller and only
+        read, so one instance is priced against every server.
         """
-        weights = self.config.objective
-        return [
-            server
-            for server in eligible
-            if sla.satisfied_by(
-                modelled_user_cost(
-                    server,
-                    device,
-                    app,
-                    plan,
-                    weights,
-                    rtt=self.latency.rtt(device.device_id, server.server_id),
-                )
-            )
-        ]
+        cost, placement = modelled_user_cost(
+            server,
+            device,
+            app,
+            plan,
+            self.config.objective,
+            rtt=self.latency.rtt(device.device_id, server.server_id),
+        )
+        return placement if sla.satisfied_by(cost) else None
 
     def _admit_infeasible(
         self,
@@ -661,13 +636,11 @@ class EdgeFleet:
         """No server can take the user: degrade to all-local, or reject.
 
         A degraded user keeps the *key* and *plan* computed so far, for
-        :meth:`retry_degraded`; degraded or rejected, the plan is also
-        kept where :meth:`_lookup_plan` finds it for the next arrival of
-        the same app.
+        :meth:`retry_degraded`.  A plan made for the arrival is already
+        in the table :meth:`_lookup_plan` reads, degraded or rejected,
+        so the next arrival of the same app is not planned again.
         """
         user_id = device.device_id
-        if key is not None and plan is not None:
-            self._unplaced_plans.put(key, plan)
         if sla is not None and sla.on_infeasible == "reject":
             self._sla_rejections += 1
             self.metrics.counter("fleet_sla_rejections").inc()
@@ -1034,9 +1007,22 @@ class EdgeFleet:
             return None
         return busiest, idlest, best_user
 
-    def _move_user(self, src: FleetServer, dst: FleetServer, user_id: str) -> MigrationCost:
-        """Move *user_id* from *src* onto *dst*; charge and return the cost."""
-        dst.place(*src.evict(user_id))
+    def _move_user(
+        self,
+        src: FleetServer,
+        dst: FleetServer,
+        user_id: str,
+        placement: Placement | None = None,
+    ) -> MigrationCost:
+        """Move *user_id* from *src* onto *dst*; charge and return the cost.
+
+        *dst* commits *placement*, its planner's pricing of the user,
+        when the caller made one; otherwise it places the user afresh.
+        """
+        user, key = src.evict(user_id)
+        if placement is None:
+            placement = dst.planner.place(user.device, user.app, user.plan)
+        dst.commit(key, placement)
         self._owner[user_id] = dst.server_id
         cost = self.charge_migration(user_id)
         self.metrics.gauge(f"fleet_users_{src.server_id}").set(src.users)
@@ -1046,8 +1032,8 @@ class EdgeFleet:
 
     def _best_proactive_move(
         self, src: FleetServer, predicted: dict[str, float], threshold: float
-    ) -> tuple[FleetServer, str, float] | None:
-        """Pick (destination, user, shifted weight) to relieve *src*.
+    ) -> tuple[FleetServer, str, float, Placement | None] | None:
+        """Pick (destination, user, shifted weight, placement) to relieve *src*.
 
         The candidate user is the one offloading the most computation to
         *src* (all-local users free no server capacity); the destination
@@ -1055,7 +1041,9 @@ class EdgeFleet:
         stays under the threshold after absorbing that weight, lowest
         predicted-after first.  Users carrying an SLA are only moved to
         servers where their deadline stays feasible — evaluated through
-        the same shared helper as admission.
+        the same shared helper as admission, whose placement on the
+        destination is returned for the move to commit (``None`` for a
+        user without an SLA).
         """
         candidates = [s for s in self._eligible() if s is not src]
         if not candidates:
@@ -1072,20 +1060,21 @@ class EdgeFleet:
         weight, user_id = best
         entry = src.admitted[user_id]
         sla = self._slas.get(user_id)
-        feasible: list[tuple[float, str, FleetServer]] = []
+        feasible: list[tuple[float, str, FleetServer, Placement | None]] = []
         for dst in candidates:
             after = predicted[dst.server_id] + weight / dst.server.total_capacity
             if after > threshold:
                 continue
-            if sla is not None and not self._sla_feasible(
-                [dst], entry.device, entry.app, entry.plan, sla
-            ):
-                continue
-            feasible.append((after, dst.server_id, dst))
+            probe = None
+            if sla is not None:
+                probe = self._sla_probe(dst, entry.device, entry.app, entry.plan, sla)
+                if probe is None:
+                    continue
+            feasible.append((after, dst.server_id, dst, probe))
         if not feasible:
             return None
-        _, _, dst = min(feasible, key=lambda item: (item[0], item[1]))
-        return dst, user_id, weight
+        _, _, dst, probe = min(feasible, key=lambda item: (item[0], item[1]))
+        return dst, user_id, weight, probe
 
     def _rebalance_proactive(self, horizon: int, threshold: float) -> int:
         """Drain servers whose *forecasted* utilisation breaches threshold.
@@ -1112,18 +1101,17 @@ class EdgeFleet:
                 (sid for sid, value in predicted.items() if value > threshold),
                 key=lambda sid: (-predicted[sid], sid),
             )
-            chosen: tuple[FleetServer, FleetServer, str, float] | None = None
+            chosen: tuple[FleetServer, FleetServer, str, float, Placement | None] | None = None
             for src_id in breaching:
                 src = self.servers[src_id]
                 move = self._best_proactive_move(src, predicted, threshold)
                 if move is not None:
-                    dst, user_id, weight = move
-                    chosen = (src, dst, user_id, weight)
+                    chosen = (src, *move)
                     break
             if chosen is None:
                 break
-            src, dst, user_id, weight = chosen
-            self._move_user(src, dst, user_id)
+            src, dst, user_id, weight, probe = chosen
+            self._move_user(src, dst, user_id, probe)
             predicted[src.server_id] -= weight / src.server.total_capacity
             predicted[dst.server_id] += weight / dst.server.total_capacity
             self.metrics.counter("fleet_proactive_moves").inc()

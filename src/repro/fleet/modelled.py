@@ -15,21 +15,9 @@ evaluation:
   every edited term and reads the unedited total from the ledger;
 * :func:`modelled_user_cost` runs the greedy placement admission would
   run (:meth:`~repro.mec.online.OnlinePlanner.place`, which changes
-  nothing in the ledger) and reads the newcomer's cost from the price
-  that placement already carries.
-
-Neither helper partitions anything: building a
-:class:`~repro.mec.scheme.PartitionedApplication` costs more than pricing
-it, so for an SLA arrival (or one that brings a kept plan)
-:class:`~repro.fleet.fleet.EdgeFleet` keeps the one it built for each
-app object (per request key, reused while the graph object and its
-version are unchanged), prices that instance against every candidate
-server, and hands it on to the admitting server's planner.  A plain
-arrival is partitioned by that planner instead, outside the table.  That planner
-remembers the placement its pricing made and commits it unless its
-ledger changed since, so an SLA admission runs one greedy per candidate
-server and none on commit; the frozen users in each greedy are priced
-from the weights their ledger recorded, not from their parts.
+  nothing in the ledger), reads the newcomer's cost from the price that
+  placement already carries, and returns the placement too, for the
+  admitting server to commit.
 """
 
 from __future__ import annotations
@@ -39,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from repro.mec.devices import MobileDevice
 from repro.mec.energy import ConsumptionBreakdown
-from repro.mec.online import OnlineUser
+from repro.mec.online import OnlineUser, Placement
 from repro.mec.scheme import PartitionedApplication
 from repro.mec.system import SystemConsumption
 
@@ -85,20 +73,22 @@ def modelled_user_cost(
     plan: "UserPlan",
     weights: "ObjectiveWeights",
     rtt: float = 0.0,
-) -> float:
-    """*device*'s modelled scalarised cost if admitted on *server*.
+) -> tuple[float, Placement]:
+    """*device*'s modelled scalarised cost if admitted on *server*, and
+    the placement it would be admitted at.
 
     *app* is the newcomer's application partitioned from ``plan.parts``;
-    the caller builds it once and passes the same instance for every
-    candidate server (it is only read).  Runs the placement admission
-    would make (:meth:`~repro.mec.online.OnlinePlanner.place`, which
-    leaves the server's ledger as found and keeps the placement for the
-    admission to commit) and returns the newcomer's own per-user
+    it is only read, so one instance serves every candidate server.
+    Runs the placement admission would make
+    (:meth:`~repro.mec.online.OnlinePlanner.place`, which leaves the
+    server's ledger as found) and returns the newcomer's own per-user
     ``E + T`` from that placement's price, with the link *rtt* charged
     by :func:`charge_link_rtt` — the same charge
     :meth:`~repro.fleet.fleet.EdgeFleet.total_consumption` applies, so the
-    admission check and the violation report speak one unit.
+    admission check and the violation report speak one unit.  The
+    placement can be committed on *server* while its ledger is unchanged
+    (:meth:`~repro.mec.online.OnlinePlanner.commit`).
     """
-    placed = server.planner.place(device, app, plan)
-    breakdown = charge_link_rtt(placed.consumption.per_user[device.device_id], rtt)
-    return weights.combine(breakdown.energy, breakdown.time)
+    placement = server.planner.place(device, app, plan)
+    breakdown = charge_link_rtt(placement.greedy.consumption.per_user[device.device_id], rtt)
+    return weights.combine(breakdown.energy, breakdown.time), placement

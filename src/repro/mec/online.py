@@ -13,11 +13,12 @@ it costs:
   :meth:`~OnlinePlanner.place` runs the newcomer's greedy against the
   server load the frozen placements of everyone else impose, reading
   their recorded weights rather than their parts, and changes nothing;
-  :meth:`~OnlinePlanner.admit` places and commits, reusing the last
-  placement when it was made for the same newcomer against the same
-  ledger.  The greedy that last changed the ledger priced exactly the
-  deployment it left, so that price is kept and read back, not
-  evaluated again.  :meth:`~OnlinePlanner.evict` and
+  it returns a :class:`Placement` stamped with the ledger version it
+  ran against, which :meth:`~OnlinePlanner.commit` enters while that
+  version stands.  The greedy that last changed the ledger priced
+  exactly the deployment it left, so that price is kept and read back,
+  not evaluated again.  :meth:`~OnlinePlanner.admit` places and commits
+  in one call; :meth:`~OnlinePlanner.evict` and
   :meth:`~OnlinePlanner.clear` take users out in place;
 * :func:`regret_vs_offline` replans every prefix of the arrival sequence
   from scratch (the clairvoyant offline optimum this pipeline can reach)
@@ -57,7 +58,7 @@ class AdmissionRecord:
 class OnlineUser:
     """One admitted user as the server's ledger holds it.
 
-    Only :meth:`OnlinePlanner._commit` makes one, with the placement
+    Only :meth:`OnlinePlanner.commit` makes one, with the placement
     the greedy gave the user.  It is immutable, down to the remote part
     set, so :attr:`remote` and :attr:`weights` cannot drift apart.
     """
@@ -97,33 +98,24 @@ class OnlineState:
 
 
 @dataclass(frozen=True)
-class _Placed:
-    """The last :meth:`OnlinePlanner.place`: its inputs, the ledger
-    version it ran against, and its result."""
+class Placement:
+    """The greedy placement :meth:`OnlinePlanner.place` gave a newcomer,
+    stamped with the planner and the ledger version it was made against.
 
+    :meth:`OnlinePlanner.commit` enters it only on that planner and only
+    while that version stands: any commit, eviction or clear since
+    would have priced the newcomer against another deployment."""
+
+    planner: "OnlinePlanner"
     version: int
     device: MobileDevice
     app: PartitionedApplication
-    plan: "UserPlan"
-    result: GreedyResult
+    """The newcomer's application, partitioned from ``plan.parts``."""
 
-    def answers(
-        self,
-        version: int,
-        device: MobileDevice,
-        app: PartitionedApplication,
-        plan: "UserPlan",
-    ) -> bool:
-        """Whether :meth:`OnlinePlanner.place` would return :attr:`result`
-        again: the same ledger, device and application, and a plan with
-        the same parts and bisections.  The greedy is pure, so it would."""
-        return (
-            version == self.version
-            and device is self.device
-            and app is self.app
-            and plan.parts == self.plan.parts
-            and plan.bisections == self.plan.bisections
-        )
+    plan: "UserPlan"
+    greedy: GreedyResult
+    """The greedy's result; its ``consumption`` prices the deployment
+    with the newcomer in."""
 
 
 class OnlinePlanner:
@@ -152,9 +144,8 @@ class OnlinePlanner:
         )
         self.state = OnlineState()
         self._version = 0
-        """Bumped by every ledger change: each :meth:`_commit`, and
+        """Bumped by every ledger change: each :meth:`commit`, and
         :meth:`clear`, through which :meth:`evict` also goes."""
-        self._placed: _Placed | None = None
 
     @property
     def users(self) -> Mapping[str, OnlineUser]:
@@ -183,40 +174,15 @@ class OnlinePlanner:
         """
         if plan is None:
             plan = self._planner.plan_user(call_graph)
-        return self.admit_partitioned(
-            device, PartitionedApplication(device.device_id, call_graph, plan.parts), plan
-        )
-
-    def admit_partitioned(
-        self,
-        device: MobileDevice,
-        app: PartitionedApplication,
-        plan: "UserPlan",
-    ) -> AdmissionRecord:
-        """:meth:`admit` with the newcomer's application already
-        partitioned: *app* must have been built from ``plan.parts``.
-
-        The fleet prices a newcomer against several servers before it
-        admits it; it holds the user's :class:`PartitionedApplication`
-        already and hands it in here rather than rebuild it.  When the
-        last :meth:`place` on this planner was that pricing — the same
-        device and application objects, a plan with equal parts and
-        bisections, and no ledger change since — its placement is
-        committed as it is; otherwise the newcomer is placed again.
-        """
-        placed = self._placed
-        if placed is not None and placed.answers(self._version, device, app, plan):
-            greedy = placed.result
-        else:
-            greedy = self.place(device, app, plan)
-        return self._commit(device, app, plan, greedy)
+        app = PartitionedApplication(device.device_id, call_graph, plan.parts)
+        return self.commit(self.place(device, app, plan))
 
     def place(
         self,
         device: MobileDevice,
         app: PartitionedApplication,
         plan: "UserPlan",
-    ) -> GreedyResult:
+    ) -> Placement:
         """The greedy placement *device* would receive if admitted now.
 
         *app* is the newcomer's application partitioned from
@@ -227,8 +193,6 @@ class OnlinePlanner:
         :func:`~repro.mec.greedy.generate_offloading_scheme` is pure, so
         the ledger is left exactly as found, and the result's
         ``consumption`` is the deployment's price with the newcomer in.
-        The planner remembers the result with its inputs and the ledger
-        version, for :meth:`admit_partitioned` to commit.
         """
         user_id = device.device_id
         users = self.state.users
@@ -246,21 +210,25 @@ class OnlinePlanner:
             placement_mode=self.config.initial_placement_mode,
             frozen={uid: (user.remote, user.weights) for uid, user in users.items()},
         )
-        self._placed = _Placed(self._version, device, app, plan, result)
-        return result
+        return Placement(self, self._version, device, app, plan, result)
 
-    def _commit(
-        self,
-        device: MobileDevice,
-        app: PartitionedApplication,
-        plan: "UserPlan",
-        greedy: GreedyResult,
-    ) -> AdmissionRecord:
-        """Enter the user at the placement :meth:`place` gave it; keep the
-        price.  The only place a ledger entry is made."""
-        user_id = device.device_id
+    def commit(self, placement: Placement) -> AdmissionRecord:
+        """Enter the newcomer at *placement*; keep its price.  The only
+        place a ledger entry is made.
+
+        Raises :class:`ValueError` for a placement another planner made,
+        or one made before the ledger last changed.
+        """
+        if placement.planner is not self or placement.version != self._version:
+            raise ValueError("stale placement: made by another planner or an older ledger")
+        user_id = placement.device.device_id
+        greedy = placement.greedy
         self.state.users[user_id] = OnlineUser(
-            device, app, plan, frozenset(greedy.remote_parts[user_id]), greedy.terms[user_id]
+            placement.device,
+            placement.app,
+            placement.plan,
+            frozenset(greedy.remote_parts[user_id]),
+            greedy.terms[user_id],
         )
         self.state.consumption = greedy.consumption
         self._version += 1
@@ -268,7 +236,7 @@ class OnlinePlanner:
             user_id=user_id,
             consumption_after=greedy.consumption,
             offloaded_functions=greedy.scheme.offload_count(user_id),
-            plan=plan,
+            plan=placement.plan,
         )
 
     def evict(self, user_id: str) -> OnlineUser:
@@ -284,9 +252,7 @@ class OnlinePlanner:
             raise KeyError(f"user {user_id!r} not admitted")
         evicted = self.state.users.pop(user_id)
         for user in self.clear():
-            self._commit(
-                user.device, user.app, user.plan, self.place(user.device, user.app, user.plan)
-            )
+            self.commit(self.place(user.device, user.app, user.plan))
         return evicted
 
     def clear(self) -> list[OnlineUser]:

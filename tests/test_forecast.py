@@ -15,6 +15,7 @@ determinism of the whole experiment sweep.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -35,6 +36,7 @@ from repro.fleet import (
     FingerprintAffinityRouting,
     ForecastRouting,
     GeoLatencyMap,
+    RoundRobinRouting,
     ServerLoad,
     StaticLatencyMap,
     all_local_breakdown,
@@ -329,7 +331,9 @@ class TestSharedModelledHelper:
                 weights = fleet.config.objective
                 graph = clone(app)
                 partitioned = PartitionedApplication("u0", graph, plan.parts)
-                modelled = modelled_user_cost(server, device, partitioned, plan, weights, rtt=rtt)
+                modelled, _ = modelled_user_cost(
+                    server, device, partitioned, plan, weights, rtt=rtt
+                )
 
                 fleet.admit(MobileDevice("u0", profile=fleet_profile.device), graph)
                 breakdown = fleet.total_consumption().per_user["u0"]
@@ -548,29 +552,6 @@ class TestAdmissionWorkCounts:
         kept = fleet.servers[admission.server_id].admitted["new"].app
         assert all(call[2] is kept for call in modelled)
 
-    def test_cached_plan_with_other_parts_is_partitioned_afresh(self, fleet_profile):
-        """The prepared application is reused only for a plan with its
-        parts: a target cache holding a different plan under the key gets
-        an application built from that plan."""
-        fleet = EdgeFleet(2, fleet_profile.server_capacity_per_user * 2)
-        filler = synthesize_application("filler", n_functions=20, seed=1)
-        fleet.admit(MobileDevice("filler", profile=fleet_profile.device), filler)
-        graph = synthesize_application("newcomer", n_functions=20, seed=9)
-        key = fleet.request_key(graph)
-        plan = make_planner("spectral").plan_user(graph)
-        whole = dataclasses.replace(
-            plan, parts=[frozenset(graph.offloadable_functions())], bisections=[]
-        )
-        fleet.servers["edge-00"].cache.put(key, plan)  # what the SLA check borrows
-        fleet.servers["edge-01"].cache.put(key, whole)  # where round-robin admits
-        admission = fleet.admit(
-            MobileDevice("new", profile=fleet_profile.device), graph, sla=UserSLA(1e6)
-        )
-        assert (admission.server_id, admission.cache_hit) == ("edge-01", True)
-        app, _ = fleet.servers["edge-01"].placement_of("new")
-        assert admission.record.plan is whole
-        assert [part.functions for part in app.parts] == whole.parts
-
     def test_retry_of_a_still_degraded_user_neither_fingerprints_nor_plans(
         self, fleet_profile, monkeypatch
     ):
@@ -648,7 +629,7 @@ class TestAdmissionWorkCounts:
         servers = list(fleet.servers.values())
         assert len(servers) == 4
         with_shared = [
-            modelled_user_cost(server, device, shared, plan, weights, rtt=0.1)
+            modelled_user_cost(server, device, shared, plan, weights, rtt=0.1)[0]
             for server in servers
         ]
         fresh = [
@@ -659,10 +640,26 @@ class TestAdmissionWorkCounts:
                 plan,
                 weights,
                 rtt=0.1,
-            )
+            )[0]
             for server in servers
         ]
         assert with_shared == fresh
+
+    def test_plain_arrivals_of_one_graph_object_plan_and_partition_once(
+        self, fleet_profile, monkeypatch
+    ):
+        """8 round-robin arrivals of one object on 4 servers: each server
+        misses its cache once and hits it once, but the app is planned
+        and partitioned only by the first arrival."""
+        fleet = EdgeFleet(4, fleet_profile.server_capacity_per_user * 2)
+        graph = synthesize_application("newcomer", n_functions=20, seed=9)
+        plans = count_calls(monkeypatch, OffloadingPlanner, "plan_user")
+        built = count_partitions(monkeypatch)
+        for i in range(8):
+            fleet.admit(MobileDevice(f"u{i}", profile=fleet_profile.device), graph)
+        assert (len(plans), len(built)) == (1, 1)
+        stats = fleet.stats()
+        assert (stats.cache_hits, stats.cache_misses) == (4, 4)
 
     def test_repeat_sla_arrival_of_one_graph_object_builds_no_partition(
         self, fleet_profile, monkeypatch
@@ -730,75 +727,62 @@ class TestAdmissionWorkCounts:
         (probe,) = [g for g in greedies if g.consumption is server.current_consumption()]
         assert server.admitted["new"].remote == probe.remote_parts["new"]
 
-    @pytest.mark.parametrize("change", ["evict", "clear"])
-    def test_ledger_change_between_probe_and_commit_forces_a_fresh_place(
-        self, fleet_profile, monkeypatch, change
+    def test_proactive_move_of_an_sla_user_commits_its_probe(
+        self, fleet_profile, monkeypatch
     ):
-        """The planner commits its last placement only against the ledger
-        it was made on.  Evicting the only other user (no survivor is
-        placed again) or clearing the ledger leaves the probe as the last
-        placement made; the commit must still place the newcomer afresh,
-        alone on the server."""
-        planner = server_planner(fleet_profile)
-        planner.admit(
-            MobileDevice("other", profile=fleet_profile.device),
-            synthesize_application("other", n_functions=20, seed=3),
+        """A proactive move prices the SLA user once on each destination
+        it considers, and the chosen one commits that placement: the
+        move's only other greedies re-place the survivors on the source."""
+        fleet = EdgeFleet(
+            capacities=[100.0, 400.0, 400.0],
+            routing=FingerprintAffinityRouting(),
+            forecaster="auto",
         )
+        hot = synthesize_application("hot", n_functions=30, seed=2)
+        for i in range(12):
+            fleet.admit(
+                MobileDevice(f"u{i}", profile=fleet_profile.device), clone(hot), sla=UserSLA(1e6)
+            )
+        greedies = record_greedies(monkeypatch)
+        probes = count_calls(monkeypatch, fleet_module, "modelled_user_cost")
+        survivors = []
+        evict = OnlinePlanner.evict
+
+        def counting_evict(planner, user_id):
+            survivors.append(len(planner.users) - 1)
+            return evict(planner, user_id)
+
+        monkeypatch.setattr(OnlinePlanner, "evict", counting_evict)
+        moves = fleet.rebalance(proactive=True, horizon=2, utilisation_threshold=0.7)
+        assert moves >= 1 and len(probes) >= moves
+        assert len(greedies) == len(probes) + sum(survivors)
+
+    @pytest.mark.parametrize("change", ["evict", "clear", "commit", "other-planner"])
+    def test_stale_placement_is_not_committed(self, fleet_profile, change):
+        """A placement is committed only on the planner that made it and
+        against the ledger version it was made on.  After an eviction, a
+        clear or another commit, or on another planner at the same
+        version, committing it raises and leaves the ledger as it was."""
+        planner = server_planner(fleet_profile)
+        other = synthesize_application("other", n_functions=20, seed=3)
+        planner.admit(MobileDevice("other", profile=fleet_profile.device), other)
         device = MobileDevice("new", profile=fleet_profile.device)
         graph = synthesize_application("newcomer", n_functions=20, seed=9)
         plan = make_planner("spectral").plan_user(graph)
-        app = PartitionedApplication("new", graph, plan.parts)
-        probe = planner.place(device, app, plan)
-        assert set(probe.consumption.per_user) == {"other", "new"}
+        placement = planner.place(device, PartitionedApplication("new", graph, plan.parts), plan)
         if change == "evict":
             planner.evict("other")
-        else:
+        elif change == "clear":
             planner.clear()
-        greedies = record_greedies(monkeypatch)
-        record = planner.admit_partitioned(device, app, plan)
-        assert len(greedies) == 1
-        assert set(record.consumption_after.per_user) == {"new"}
-        alone = server_planner(fleet_profile).admit_partitioned(device, app, plan)
-        assert record.consumption_after == alone.consumption_after
-
-    def test_committed_probe_is_not_committed_twice(self, fleet_profile, monkeypatch):
-        """A commit changes the ledger too: the probe it committed is not
-        reused, so admitting the same newcomer again fails as it would
-        without the probe."""
-        planner = server_planner(fleet_profile)
-        device = MobileDevice("new", profile=fleet_profile.device)
-        graph = synthesize_application("newcomer", n_functions=20, seed=9)
-        plan = make_planner("spectral").plan_user(graph)
-        app = PartitionedApplication("new", graph, plan.parts)
-        greedies = record_greedies(monkeypatch)
-        probe = planner.place(device, app, plan)
-        record = planner.admit_partitioned(device, app, plan)
-        assert len(greedies) == 1 and record.consumption_after is probe.consumption
-        with pytest.raises(ValueError, match="already admitted"):
-            planner.admit_partitioned(device, app, plan)
-
-    @pytest.mark.parametrize("other", ["equal-plan", "device", "application", "bisections"])
-    def test_probe_is_reused_only_for_the_same_newcomer(
-        self, fleet_profile, monkeypatch, other
-    ):
-        """An equal plan (another object, same parts and bisections)
-        commits the probe; another device object, another application
-        object or other bisections are placed again."""
-        planner = server_planner(fleet_profile)
-        device = MobileDevice("new", profile=fleet_profile.device)
-        graph = synthesize_application("newcomer", n_functions=20, seed=9)
-        plan = make_planner("spectral").plan_user(graph)
-        app = PartitionedApplication("new", graph, plan.parts)
-        greedies = record_greedies(monkeypatch)
-        planner.place(device, app, plan)
-        committed = {
-            "equal-plan": (device, app, dataclasses.replace(plan)),
-            "device": (MobileDevice("new", profile=fleet_profile.device), app, plan),
-            "application": (device, PartitionedApplication("new", graph, plan.parts), plan),
-            "bisections": (device, app, dataclasses.replace(plan, bisections=plan.bisections[:-1])),
-        }[other]
-        planner.admit_partitioned(*committed)
-        assert len(greedies) == (1 if other == "equal-plan" else 2)
+        elif change == "commit":
+            planner.commit(placement)
+        else:
+            planner = server_planner(fleet_profile)
+            planner.admit(MobileDevice("other", profile=fleet_profile.device), other)
+        users, consumption = dict(planner.users), planner.state.consumption
+        with pytest.raises(ValueError, match="stale placement"):
+            planner.commit(placement)
+        assert dict(planner.users) == users and planner.state.consumption is consumption
 
 
 def fleet_episode_outcome():
@@ -827,11 +811,69 @@ def fleet_episode_outcome():
             fleet.tick()
         if (k + 1) % 8 == 0:
             fleet.rebalance(proactive=True)
-    ledger = {
+    return {"ledger": ledger_bits(fleet), "sla": dataclasses.asdict(fleet.sla_report())}
+
+
+def fleet_plain_episode_outcome():
+    """The plain-arrival twin of :func:`fleet_episode_outcome`: no SLA,
+    round-robin routing, and repeat arrivals that bring the very graph
+    object of the earlier ones, ticking every 4 arrivals, rebalancing
+    every 8, and failing one server over after the 12th.  Returns the
+    per-user ledger as float hex, each arrival's server and cache hit,
+    and the cache counters."""
+    profile = quick_profile().device
+    fleet = EdgeFleet(4, 1200.0, routing=RoundRobinRouting())
+    apps = [
+        synthesize_application(f"app{k}", n_functions=40, seed=k, sensor_fraction=0.3)
+        for k in range(3)
+    ]
+    rng = random.Random(13)
+    admissions = []
+    for k in range(24):
+        device = MobileDevice(f"u{k:02d}", profile=profile)
+        admission = fleet.admit(device, apps[rng.randrange(len(apps))])
+        admissions.append([admission.server_id, admission.cache_hit])
+        if (k + 1) % 4 == 0:
+            fleet.tick()
+        if (k + 1) % 8 == 0:
+            fleet.rebalance()
+        if k == 11:
+            handle_outage(fleet, ServerOutage(time=1.0, server_id="edge-01"))
+    stats = fleet.stats()
+    return {
+        "ledger": ledger_bits(fleet),
+        "admissions": admissions,
+        "cache": [stats.cache_hits, stats.cache_misses],
+    }
+
+
+def ledger_bits(fleet):
+    """Each user's fleet-ledger energy and time, as float hex."""
+    return {
         user_id: [breakdown.energy.hex(), breakdown.time.hex()]
         for user_id, breakdown in sorted(fleet.total_consumption().per_user.items())
     }
-    return {"ledger": ledger, "sla": dataclasses.asdict(fleet.sla_report())}
+
+
+def outcome_digest(outcome) -> str:
+    return hashlib.sha256(json.dumps(outcome, sort_keys=True).encode()).hexdigest()
+
+
+# Recorded before the fleet's admission paths were merged into one; the
+# merge must move no ledger bit, outcome or cache counter.
+GOLDEN_EPISODE_DIGESTS = {
+    "sla": "4c89e7e40a5e48541dc446a2da0021c94faac9cff5b7099a3028d6fd77f11a45",
+    "plain": "279c47afb284d0e0bba4b50f796bfea58351aba777898f8213d83c7b964e9a75",
+}
+
+
+@pytest.mark.parametrize(
+    "name, episode",
+    [("sla", fleet_episode_outcome), ("plain", fleet_plain_episode_outcome)],
+    ids=["sla", "plain"],
+)
+def test_fleet_episode_golden(name, episode):
+    assert outcome_digest(episode()) == GOLDEN_EPISODE_DIGESTS[name]
 
 
 def zipf_sla_episode(share: bool, monkeypatch):

@@ -329,9 +329,10 @@ def test_online_placement_of_frozen_users_matches_the_reference(policy, channel)
         graph = graphs[k % len(graphs)]
         plan = _PLANNER.plan_user(graph)
         app = PartitionedApplication(device.device_id, graph, plan.parts)
-        fast = planner.place(device, app, plan)
+        placement = planner.place(device, app, plan)
+        fast = placement.greedy
         with mock.patch.object(greedy_module, "PlacementEvaluator", NumpyPlacementEvaluator):
-            reference = planner.place(device, app, plan)
+            reference = planner.place(device, app, plan).greedy
         assert _outcome(fast) == _outcome(reference)
         users = [*planner.users.values()]
         system = MECSystem(
@@ -346,7 +347,7 @@ def test_online_placement_of_frozen_users_matches_the_reference(policy, channel)
         walked = system.evaluate_placement(apps, fast.remote_parts)
         assert fast.consumption.per_user == walked.per_user
         assert fast.consumption.effective_bandwidth == walked.effective_bandwidth
-        planner.admit_partitioned(device, app, plan)
+        planner.commit(placement)
     assert all(user.weights == user.app.weights(user.remote) for user in planner.users.values())
     assert any(user.remote for user in planner.users.values())
 

@@ -82,11 +82,11 @@ class TestOnlinePlanner:
         placed = planner.place(device, partitioned, plan)
         assert {uid: user.remote for uid, user in planner.users.items()} == before
         # The frozen users' parts are not walked for the scheme either.
-        assert set(placed.scheme.remote_functions) == {device.device_id}
+        assert set(placed.greedy.scheme.remote_functions) == {device.device_id}
         assert planner.current_consumption() is kept
-        record = planner.admit_partitioned(device, partitioned, plan)
-        assert record.consumption_after == placed.consumption
-        assert planner.users[device.device_id].remote == placed.remote_parts[device.device_id]
+        record = planner.commit(placed)
+        assert record.consumption_after is placed.greedy.consumption
+        assert planner.users[device.device_id].remote == placed.greedy.remote_parts[device.device_id]
 
     def test_ledger_entries_cannot_be_edited(self):
         """A ledger entry's remote set and its weights are made together
